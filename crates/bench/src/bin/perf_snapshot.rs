@@ -729,7 +729,10 @@ fn main() {
         .map(|s| ned_tree::serialize::print(s.tree()))
         .collect();
     let spawn_tcp = |server: ned_index::NedServer| {
-        let server = std::sync::Arc::new(server);
+        let server = std::sync::Arc::new(ned_index::FrontEnd::new(
+            server,
+            ned_index::ServerConfig::default(),
+        ));
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr").to_string();
         let thread = {

@@ -20,6 +20,7 @@ pub mod durable;
 pub mod filter;
 pub mod fleet;
 pub mod forest;
+pub mod frontend;
 pub mod maintain;
 pub mod router;
 pub mod server;
@@ -32,9 +33,10 @@ pub use durable::{DurableError, DurableIndex, DurableOptions, RecoveryReport};
 pub use filter::{filter_refine_knn, BoundedMetric, FilteredKnn, FnBoundedMetric};
 pub use fleet::{split_index, ShardProcess};
 pub use forest::{ForestHit, ForestStats, ShardedVpForest};
+pub use frontend::{FrontEnd, ServerConfig, Service};
 pub use maintain::{DeltaReport, GraphMaintainer, MaterializedBatch};
 pub use router::{FleetHits, RouterOptions, RouterServer, ShardMap, ShardRouter};
-pub use server::{Dispatch, NedServer, ServerConfig, WireClient, WireClientBuilder};
+pub use server::{NedServer, WireClient, WireClientBuilder};
 pub use signatures::{SignatureIndex, SignatureMetric, UnboundedSignatureMetric};
 pub use sketch::{Sketch, SketchBank, SketchMode, SketchStats};
 

@@ -71,15 +71,14 @@
 
 use crate::concurrent::WriteOp;
 use crate::forest::ForestHit;
+use crate::frontend::{front_end_only, Service};
 use crate::maintain::GraphMaintainer;
-use crate::server::{Dispatch, WireClient};
+use crate::server::{GraphCache, WireClient};
 use ned_core::{Request, Response, ServerError, WireHit};
-use ned_graph::{io as graph_io, Graph, GraphDelta, NodeId};
-use std::collections::{BinaryHeap, HashMap};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use ned_graph::{Graph, GraphDelta};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -1308,18 +1307,18 @@ impl Ord for MergeEntry {
     }
 }
 
-/// The router's TCP front-end: speaks the **same** framed protocol and
-/// reply grammar as a single [`NedServer`](crate::server::NedServer), so
-/// every existing client ([`WireClient`], `loadgen`, the CLI REPL) works
-/// against a fleet unchanged. Graph-file commands (`query`, `range`,
-/// `add`, `track`) are resolved router-side: the graph is loaded here,
-/// the signature extracted at the fleet's `k`, and the query pushed down
-/// by literal shape.
+/// The router role: behind a [`FrontEnd`](crate::frontend::FrontEnd) it
+/// speaks the **same** framed protocol and reply grammar as a single
+/// [`NedServer`](crate::server::NedServer), with the same timeouts,
+/// shedding, drain and panic isolation, so every existing client
+/// ([`WireClient`], `loadgen`, the CLI REPL) works against a fleet
+/// unchanged. Graph-file commands (`query`, `range`, `add`, `track`) are
+/// resolved router-side: the graph is loaded here, the signature
+/// extracted at the fleet's `k`, and the query pushed down by literal
+/// shape.
 pub struct RouterServer {
     router: ShardRouter,
-    graphs: Mutex<HashMap<String, Arc<Graph>>>,
-    shutting_down: AtomicBool,
-    local_addr: Mutex<Option<SocketAddr>>,
+    graphs: GraphCache,
 }
 
 impl RouterServer {
@@ -1327,9 +1326,7 @@ impl RouterServer {
     pub fn new(router: ShardRouter) -> RouterServer {
         RouterServer {
             router,
-            graphs: Mutex::new(HashMap::new()),
-            shutting_down: AtomicBool::new(false),
-            local_addr: Mutex::new(None),
+            graphs: GraphCache::default(),
         }
     }
 
@@ -1339,14 +1336,15 @@ impl RouterServer {
         &self.router
     }
 
-    /// Executes one non-session request against the fleet.
+    /// Executes one non-session request against the fleet. (Inherent, so
+    /// callers need not import [`Service`].)
     pub fn execute(&self, req: &Request) -> Result<Response, ServerError> {
         Ok(match req {
             Request::Help => Response::Info {
                 body: ROUTER_HELP_BODY.to_string(),
             },
             Request::Stats => Response::Info {
-                body: self.router.stats_line(),
+                body: self.stats_body(),
             },
             Request::Epoch => {
                 let (epoch, len) = self.router.epoch()?;
@@ -1388,7 +1386,7 @@ impl RouterServer {
                 existed: self.router.remove(*id)?,
             },
             Request::Track { path } => {
-                let graph = self.graph(path)?;
+                let graph = self.graphs.graph(path)?;
                 Response::Ok {
                     msg: self.router.track(&graph)?,
                 }
@@ -1426,176 +1424,27 @@ impl RouterServer {
                      `fingerprint` to force a health pass",
                 ))
             }
-            Request::TestPanic => {
-                return Err(ServerError::bad(
-                    "unrecognized command \"__panic\"; try `help`",
-                ))
-            }
-            Request::Quit | Request::Shutdown => {
-                unreachable!("session control handled by dispatch_request")
+            Request::Quit | Request::Shutdown | Request::TestPanic => {
+                return Err(front_end_only(req))
             }
         })
     }
 
-    /// [`NedServer::dispatch`](crate::server::NedServer::dispatch)-shaped
-    /// entry point: parse, execute, render.
-    pub fn dispatch(&self, line: &str) -> Dispatch {
-        match Request::parse_line(line) {
-            Ok(None) => Dispatch::Reply(String::new()),
-            Ok(Some(req)) => self.dispatch_request(req),
-            Err(e) => Dispatch::Reply(Response::Error(e).to_string()),
-        }
-    }
-
-    /// Routes session control; everything else goes through
-    /// [`RouterServer::execute`].
-    pub fn dispatch_request(&self, req: Request) -> Dispatch {
-        match req {
-            Request::Quit => Dispatch::Quit,
-            Request::Shutdown => {
-                self.initiate_shutdown();
-                Dispatch::Shutdown
-            }
-            req => Dispatch::Reply(
-                self.execute(&req)
-                    .unwrap_or_else(Response::Error)
-                    .to_string(),
-            ),
-        }
-    }
-
-    /// Executes a whole frame payload (newline-separated commands,
-    /// replies concatenated in order). The scatter layer is internally
-    /// parallel, so frames run sequentially here; a panic in one command
-    /// is isolated to an error reply, like the single-process server.
-    pub fn handle_payload(&self, payload: &str) -> (String, bool) {
-        let mut replies = Vec::new();
-        for line in payload.lines() {
-            let dispatched =
-                catch_unwind(AssertUnwindSafe(|| self.dispatch(line))).unwrap_or_else(|_| {
-                    Dispatch::Reply(
-                        Response::Error(ServerError::Io(
-                            "internal panic while executing the command; the router is \
-                             still serving"
-                                .to_string(),
-                        ))
-                        .to_string(),
-                    )
-                });
-            match dispatched {
-                Dispatch::Reply(r) => replies.push(r),
-                Dispatch::Quit => {
-                    replies.push("ok bye".to_string());
-                    return (replies.join("\n"), true);
-                }
-                Dispatch::Shutdown => {
-                    replies.push(
-                        "ok draining: in-flight connections finish, then the router exits \
-                         (shards keep serving)"
-                            .to_string(),
-                    );
-                    return (replies.join("\n"), true);
-                }
-            }
-        }
-        (replies.join("\n"), false)
-    }
-
-    /// Serves the framed protocol until `shutdown`: thread per
-    /// connection, one reply frame per request frame.
-    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        *self.local_addr.lock().unwrap_or_else(|p| p.into_inner()) = listener.local_addr().ok();
-        for conn in listener.incoming() {
-            if self.shutting_down.load(Ordering::Acquire) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let server = Arc::clone(self);
-            std::thread::spawn(move || server.handle_conn(stream));
-        }
-        Ok(())
-    }
-
-    /// Flips the drain flag and wakes the blocked acceptor.
-    pub fn initiate_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        let addr = *self.local_addr.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(addr) = addr {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        }
-    }
-
-    fn handle_conn(&self, mut stream: TcpStream) {
-        use ned_core::wire;
-        loop {
-            match wire::read_frame(&mut stream) {
-                Ok(None) => return,
-                Err(e) => {
-                    let reply = Response::Error(ServerError::from(e)).to_string();
-                    let _ = wire::write_text_frame(&mut stream, &reply);
-                    return;
-                }
-                Ok(Some(payload)) => {
-                    let text = match String::from_utf8(payload) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            // Framing is still in sync — reply in-band
-                            // and keep the session, like NedServer.
-                            let reply = Response::Error(ServerError::Corrupt(
-                                "frame payload is not UTF-8".to_string(),
-                            ))
-                            .to_string();
-                            if wire::write_text_frame(&mut stream, &reply).is_err() {
-                                return;
-                            }
-                            continue;
-                        }
-                    };
-                    let (reply, end) = self.handle_payload(&text);
-                    if wire::write_text_frame(&mut stream, &reply).is_err() || end {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn graph(&self, path: &str) -> Result<Arc<Graph>, ServerError> {
-        let cached = {
-            let graphs = self.graphs.lock().unwrap_or_else(|p| p.into_inner());
-            graphs.get(path).cloned()
-        };
-        match cached {
-            Some(g) => Ok(g),
-            None => {
-                let g = Arc::new(
-                    graph_io::read_edge_list(Path::new(path), false)
-                        .map_err(|e| ServerError::bad(format!("{path}: {e}")))?,
-                );
-                self.graphs
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(path.to_string(), Arc::clone(&g));
-                Ok(g)
-            }
-        }
-    }
-
     /// Extracts `<path> <node>`'s signature at the fleet's `k` and
     /// renders it as the literal shape pushed down to shards.
-    fn shape_for(&self, path: &str, node: NodeId) -> Result<String, ServerError> {
-        let graph = self.graph(path)?;
-        if (node as usize) >= graph.num_nodes() {
-            return Err(ServerError::bad(format!(
-                "node {node} out of range (graph has {} nodes)",
-                graph.num_nodes()
-            )));
-        }
-        let sig = ned_core::NodeSignature::extract(&graph, node, self.router.opts.k);
+    fn shape_for(&self, path: &str, node: ned_graph::NodeId) -> Result<String, ServerError> {
+        let sig = self.graphs.signature(path, node, self.router.opts.k)?;
         Ok(ned_tree::serialize::print(sig.tree()))
+    }
+}
+
+impl Service for RouterServer {
+    fn execute(&self, req: &Request) -> Result<Response, ServerError> {
+        RouterServer::execute(self, req)
+    }
+
+    fn stats_body(&self) -> String {
+        self.router.stats_line()
     }
 }
 

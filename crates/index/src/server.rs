@@ -1,19 +1,18 @@
-//! The **serving front-end** over [`crate::durable::DurableIndex`]: one
-//! typed command dispatcher shared by every surface, a dependency-free
-//! `std::net` TCP server speaking the framed batch protocol, and the
-//! matching client.
+//! The **shard service** over [`crate::durable::DurableIndex`] — the
+//! [`Service`] a [`FrontEnd`](crate::frontend::FrontEnd) serves over TCP
+//! and stdin — and the matching wire client.
 //!
 //! # Command language
 //!
 //! One command per line, answers as text whose final line starts with
-//! `ok` or `error:`. The line grammar lives in [`ned_core::proto`]: a
-//! line is parsed **once** into a [`Request`] at whatever boundary it
-//! arrives (REPL stdin via [`NedServer::dispatch`], a decoded TCP frame
-//! via [`NedServer::handle_payload`]) and from there execution is an
-//! exhaustive `match` on the enum — no token matching anywhere past the
-//! parse, so behavior cannot drift between the interactive and networked
-//! paths and a coordinator composes [`Request`] values programmatically
-//! instead of formatting strings.
+//! `ok` or `error:`. The line grammar lives in [`ned_core::proto`]: the
+//! front end parses a line **once** into a [`Request`] at whatever
+//! boundary it arrives (REPL stdin or a decoded TCP frame) and from there
+//! execution is an exhaustive `match` on the enum in
+//! [`NedServer::execute`] — no token matching anywhere past the parse, so
+//! behavior cannot drift between the interactive and networked paths and
+//! a coordinator composes [`Request`] values programmatically instead of
+//! formatting strings.
 //!
 //! ```text
 //! query <graph.edges> <node> [top]    nearest indexed signatures
@@ -54,61 +53,29 @@
 //! snapshot — the per-shard consistency tag a fleet coordinator's epoch
 //! vector is built from (see `crate::router`).
 //!
-//! # The batch protocol
-//!
-//! A TCP frame (see [`ned_core::wire`]) carries one *or more*
-//! newline-separated commands; the reply frame carries the concatenated
-//! replies in command order. Batching amortizes round-trips, and a frame
-//! of **read-only** commands ([`Request::is_write`] is the eligibility
-//! test) additionally fans out across the server's persistent
-//! [`WorkerPool`] (each command grabs its own snapshot — reads never
-//! block). Frames containing any write run sequentially in frame order,
-//! so a client's `addsig` is visible to the commands after it in the
-//! same frame.
-//!
-//! Connections are thread-per-connection `std::net` — no async runtime,
-//! in keeping with the repo's no-external-dependencies rule. A frame that
-//! fails checksum/magic/length validation gets a best-effort
-//! `error: ...` reply and the connection is closed: once framing sync is
-//! lost the stream cannot be trusted.
-//!
-//! # Fault tolerance
-//!
-//! The server is built to keep serving through misbehaving clients and
-//! its own bugs ([`ServerConfig`] holds the knobs). Failures answer with
-//! a structured [`ServerError`] whose variant tells the client what to
-//! do — retry ([`ServerError::is_retryable`]) or give up:
-//!
-//! * every accepted socket gets **read/write timeouts**, so a wedged or
-//!   malicious client cannot pin a connection thread forever;
-//! * admissions are capped at [`ServerConfig::max_conns`]; excess
-//!   connections get a clean [`ServerError::Overloaded`] frame and
-//!   are closed — never silently dropped, never unbounded threads;
-//! * command execution is wrapped in `catch_unwind` (per command *and*
-//!   per connection), so a panicking handler poisons at most its own
-//!   connection — the writer's panic-atomic rollback (see
-//!   [`IndexWriter::try_apply`]) keeps the index itself consistent;
-//! * `shutdown` drains: the acceptor stops, in-flight frames finish,
-//!   idle connections are nudged closed, a final checkpoint runs, and
-//!   [`NedServer::serve_tcp`] returns `Ok(())` so the process can exit 0.
-//!
-//! All of it is observable: `stats` reports accepted/active/timeout/
-//! overload/panic counters next to the durability line.
+//! Each command grabs its own snapshot, so reads never block and a
+//! read-only batch frame can fan out across the front end's pool. A
+//! panicking write leaves the index consistent: the writer's
+//! panic-atomic rollback (see [`IndexWriter::try_apply`]) restores the
+//! published state before the front end's panic shield answers. The
+//! drain hook ([`Service::finalize`]) runs a final checkpoint, so a
+//! clean exit never needs log replay on the next boot.
 
 use crate::concurrent::{IndexReader, IndexWriter, WriteOp, WriteOutcome};
 use crate::durable::DurableIndex;
 use crate::forest::ForestHit;
+use crate::frontend::{front_end_only, lock, Service};
 use crate::maintain::GraphMaintainer;
 use crate::signatures::SignatureIndex;
 use ned_core::proto::{Request, Response, ServerError, WireHit};
-use ned_core::{wire, NodeSignature, PreparedTree, TedMemo, WorkerPool};
+use ned_core::{wire, NodeSignature, PreparedTree, TedMemo};
 use ned_graph::{io as graph_io, Graph, GraphDelta, NodeId};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -125,104 +92,82 @@ pub const WAL_CHUNK_MAX_RECORDS: usize = 256;
 /// batches cannot blow the frame either.
 pub const WAL_CHUNK_MAX_BYTES: usize = 1 << 20;
 
-/// Outcome of dispatching one command line.
-pub enum Dispatch {
-    /// The text to show or send back (final line `ok ...` / `error: ...`).
-    Reply(String),
-    /// The client asked to end the session (`quit` / `exit`).
-    Quit,
-    /// The client asked the whole server to drain and exit (`shutdown`).
-    /// The accept loop stops; the surface should end its session too.
-    Shutdown,
-}
+/// Socket timeouts of the connection a `catchup` streams a peer's WAL
+/// suffix over (per chunk request, not for the whole replay).
+const CATCHUP_PEER_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Serving limits and fault-tolerance knobs. `Default` suits tests and
-/// the REPL; `ned-cli serve` exposes the connection cap as `--max-conns`.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Per-socket read timeout (`None` = block forever). A connection
-    /// idle past this is closed with an `error: io: socket timeout`
-    /// frame.
-    pub read_timeout: Option<Duration>,
-    /// Per-socket write timeout (`None` = block forever) — protects
-    /// against clients that stop draining their receive buffer.
-    pub write_timeout: Option<Duration>,
-    /// Admission cap: connections accepted while this many are already
-    /// active get an [`ServerError::Overloaded`] frame and are closed.
-    pub max_conns: usize,
-    /// How long `shutdown` waits for in-flight connections — applied
-    /// twice: once politely, once after force-closing idle sockets.
-    pub drain_grace: Duration,
-    /// Enables the hidden `__panic` command that panics inside the
-    /// dispatcher — the fault-injection hook for panic-isolation tests.
-    /// Never enable outside tests.
-    pub enable_test_panic: bool,
-}
+/// Parsed edge-list files, cached by path across commands and
+/// connections — the graphs behind `query`, `range`, `add` and `track`
+/// in both serving roles.
+#[derive(Default)]
+pub(crate) struct GraphCache(Mutex<HashMap<String, Arc<Graph>>>);
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
-            max_conns: 256,
-            drain_grace: Duration::from_secs(2),
-            enable_test_panic: false,
+impl GraphCache {
+    /// Loads (and caches) the edge-list graph at `path`. The cache lock
+    /// is never held across parsing.
+    pub(crate) fn graph(&self, path: &str) -> Result<Arc<Graph>, ServerError> {
+        let cached = lock(&self.0).get(path).cloned();
+        if let Some(g) = cached {
+            return Ok(g);
         }
+        let g = Arc::new(
+            graph_io::read_edge_list(Path::new(path), false)
+                .map_err(|e| ServerError::bad(format!("{path}: {e}")))?,
+        );
+        lock(&self.0).insert(path.to_string(), Arc::clone(&g));
+        Ok(g)
+    }
+
+    /// The `k`-hop signature of `<path> <node>`, with the node checked
+    /// against the graph's range.
+    pub(crate) fn signature(
+        &self,
+        path: &str,
+        node: NodeId,
+        k: usize,
+    ) -> Result<NodeSignature, ServerError> {
+        let graph = self.graph(path)?;
+        if (node as usize) >= graph.num_nodes() {
+            return Err(ServerError::bad(format!(
+                "node {node} out of range (graph has {} nodes)",
+                graph.num_nodes()
+            )));
+        }
+        Ok(NodeSignature::extract(&graph, node, k))
     }
 }
 
-/// Monotonic serving counters, reported by `stats`.
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    timeouts: AtomicU64,
-    overloaded: AtomicU64,
-    panics: AtomicU64,
-    checkpoint_failures: AtomicU64,
-    active: AtomicUsize,
-}
-
-/// The shared serving state: durable index, graph cache, worker pool.
-/// Cheap to share — wrap in an [`Arc`] and hand clones to every
-/// connection thread (see [`NedServer::serve_tcp`]).
+/// The shard role: a durable index plus graph cache, served by a
+/// [`FrontEnd`](crate::frontend::FrontEnd). Its front end shares it
+/// across every connection thread.
 pub struct NedServer {
     index: DurableIndex,
-    /// Parsed edge-list files, cached across commands and connections.
-    graphs: Mutex<HashMap<String, Arc<Graph>>>,
+    graphs: GraphCache,
     /// The tracked mutating graph behind `addedge`/`deledge`
     /// (`track <path>` installs one). Locked for the whole delta
     /// application — writes are serialized anyway, and readers never
     /// touch it.
     maintained: Mutex<Option<GraphMaintainer>>,
-    /// Persistent pool reused by every read-only batch frame.
-    pool: WorkerPool,
     /// Intra-query fan-out passed to the forest (`1` is right for
     /// concurrent serving: requests, not shards, should fill the cores).
     query_threads: usize,
-    config: ServerConfig,
-    /// Set by `shutdown`; the acceptor checks it per accepted connection
-    /// and connection loops check it per frame.
-    shutting_down: AtomicBool,
+    /// Size of the front end's batch pool ([`Service::pool_threads`]).
+    pool_threads: usize,
     /// Set while a `catchup` is replaying a peer's WAL suffix. Queries
     /// answer [`ServerError::CatchingUp`] until it clears, so a stale
     /// replica never serves a read the router would have to repair.
     catching_up: AtomicBool,
-    /// Where the acceptor is listening — `initiate_shutdown` connects
-    /// here once to wake a blocked `accept`.
-    local_addr: Mutex<Option<SocketAddr>>,
-    /// Clones of every live connection's stream, so drain can nudge
-    /// idle keep-alive clients closed.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    conn_seq: AtomicU64,
-    counters: Counters,
+    /// Cadence checkpoints that failed after their write was acked (the
+    /// WAL still holds everything).
+    checkpoint_failures: AtomicU64,
 }
 
 impl NedServer {
     /// Wraps `index` for **ephemeral** serving (no WAL, no checkpoints).
     /// `query_threads` is the per-query shard fan-out (`0` = all cores —
     /// right for a single-user REPL, wrong for a concurrent server, which
-    /// should pass `1`); `pool_threads` sizes the batch pool (`0` = all
-    /// cores).
+    /// should pass `1`); `pool_threads` sizes the front end's batch pool
+    /// (`0` = all cores).
     pub fn new(index: SignatureIndex, query_threads: usize, pool_threads: usize) -> Self {
         Self::with_durability(DurableIndex::ephemeral(index), query_threads, pool_threads)
     }
@@ -233,24 +178,13 @@ impl NedServer {
     pub fn with_durability(index: DurableIndex, query_threads: usize, pool_threads: usize) -> Self {
         NedServer {
             index,
-            graphs: Mutex::new(HashMap::new()),
+            graphs: GraphCache::default(),
             maintained: Mutex::new(None),
-            pool: WorkerPool::new(pool_threads),
             query_threads,
-            config: ServerConfig::default(),
-            shutting_down: AtomicBool::new(false),
+            pool_threads,
             catching_up: AtomicBool::new(false),
-            local_addr: Mutex::new(None),
-            conns: Mutex::new(HashMap::new()),
-            conn_seq: AtomicU64::new(0),
-            counters: Counters::default(),
+            checkpoint_failures: AtomicU64::new(0),
         }
-    }
-
-    /// Replaces the serving limits (builder-style, before sharing).
-    pub fn with_config(mut self, config: ServerConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// The durable index being served (checkpoint paths, cadence, …).
@@ -322,9 +256,7 @@ impl NedServer {
     /// the already-acknowledged write.
     fn after_write(&self) {
         if self.index.checkpoint_if_due().is_err() {
-            self.counters
-                .checkpoint_failures
-                .fetch_add(1, Ordering::Relaxed);
+            self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -361,7 +293,6 @@ impl NedServer {
             }
             Err(_) => {
                 *guard = None;
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
                 Err(ServerError::Io(
                     "delta application failed (journal append failure or internal panic); \
                      the index rolled back to its last published state and the tracked \
@@ -380,7 +311,7 @@ impl NedServer {
     /// own WAL and published at that exact epoch, so the caught-up
     /// replica is bit-identical to the peer at every acknowledged
     /// epoch. Before any record is applied the splice point is verified
-    /// ([`NedServer::verify_fork_point`]): a forked local history is
+    /// (`NedServer::verify_fork_point`): a forked local history is
     /// refused loudly rather than overwritten. While the replay runs,
     /// queries answer [`ServerError::CatchingUp`].
     pub fn catch_up_from(&self, peer: &str) -> Result<String, ServerError> {
@@ -397,7 +328,7 @@ impl NedServer {
         }
         let _clear = ClearOnExit(&self.catching_up);
         let mut client = WireClient::builder()
-            .timeouts(self.config.read_timeout, self.config.write_timeout)
+            .timeouts(Some(CATCHUP_PEER_TIMEOUT), Some(CATCHUP_PEER_TIMEOUT))
             .connect(peer)
             .map_err(|e| ServerError::Io(format!("{peer}: {e}")))?;
         self.verify_fork_point(&mut client)?;
@@ -528,109 +459,10 @@ impl NedServer {
         self.index.reader()
     }
 
-    /// Multi-line summary of the current snapshot, the TED\* memo's
-    /// effectiveness counters, the serving counters, and the durability
-    /// configuration (the `stats` reply body).
-    pub fn stats_line(&self) -> String {
-        let (snap, epoch) = self.reader().snapshot_with_epoch();
-        let stats = snap.stats();
-        let tracking = match self
-            .maintained
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-        {
-            Some(m) => format!("{} nodes / {} edges", m.num_nodes(), m.num_edges()),
-            None => "none".to_string(),
-        };
-        let c = &self.counters;
-        format!(
-            "signatures: {} (k = {}), buffer {}, shards {:?}, tombstones {}, epoch {epoch}, \
-             tracking {tracking}\nsketch: mode {}, {}\nmemo: {}\nserver: accepted {}, active {}, \
-             timeouts {}, overloaded {}, panics isolated {}, checkpoint failures {}\n{}",
-            stats.len,
-            snap.k(),
-            stats.buffer,
-            stats.shard_sizes,
-            stats.tombstones,
-            snap.sketch_mode(),
-            snap.sketch_stats(),
-            TedMemo::global().stats(),
-            c.accepted.load(Ordering::Relaxed),
-            c.active.load(Ordering::Relaxed),
-            c.timeouts.load(Ordering::Relaxed),
-            c.overloaded.load(Ordering::Relaxed),
-            c.panics.load(Ordering::Relaxed),
-            c.checkpoint_failures.load(Ordering::Relaxed),
-            self.index.describe(),
-        )
-    }
-
-    /// Executes one command line — the **text surface** (REPL stdin).
-    /// The line is parsed once into a [`Request`] and handed to
-    /// [`NedServer::dispatch_request`]; parse failures come back as
-    /// `error:` reply text, so every surface reports them identically.
-    pub fn dispatch(&self, line: &str) -> Dispatch {
-        match Request::parse_line(line) {
-            Ok(None) => Dispatch::Reply(String::new()),
-            Ok(Some(req)) => self.dispatch_request(req),
-            Err(e) => Dispatch::Reply(Response::Error(e).to_string()),
-        }
-    }
-
-    /// Executes one parsed request — the **typed surface**. Session
-    /// control (`quit`, `shutdown`) surfaces as its own [`Dispatch`]
-    /// variant; everything else executes through the exhaustive match in
-    /// [`NedServer::execute`] and renders its [`Response`].
-    pub fn dispatch_request(&self, req: Request) -> Dispatch {
-        match req {
-            Request::Quit => Dispatch::Quit,
-            Request::Shutdown => {
-                self.initiate_shutdown();
-                Dispatch::Shutdown
-            }
-            req => {
-                let response = self
-                    .execute(&req)
-                    .unwrap_or_else(Response::Error)
-                    .to_string();
-                Dispatch::Reply(response)
-            }
-        }
-    }
-
-    /// [`NedServer::dispatch`] behind a panic shield: a handler that
-    /// panics answers `error: internal panic ...` instead of unwinding
-    /// into (and killing) whatever thread is serving the surface. The
-    /// index stays consistent — [`IndexWriter::try_apply`] rolls the
-    /// master copy back to the published snapshot before re-raising.
-    pub fn dispatch_isolated(&self, line: &str) -> Dispatch {
-        match catch_unwind(AssertUnwindSafe(|| self.dispatch(line))) {
-            Ok(d) => d,
-            Err(_) => Dispatch::Reply(self.note_panic()),
-        }
-    }
-
-    /// [`NedServer::dispatch_request`] behind the same panic shield.
-    pub fn dispatch_request_isolated(&self, req: Request) -> Dispatch {
-        match catch_unwind(AssertUnwindSafe(|| self.dispatch_request(req))) {
-            Ok(d) => d,
-            Err(_) => Dispatch::Reply(self.note_panic()),
-        }
-    }
-
-    /// Counts an isolated panic and renders the standard reply for it.
-    fn note_panic(&self) -> String {
-        self.counters.panics.fetch_add(1, Ordering::Relaxed);
-        "error: internal panic while executing the command; the index rolled \
-         back to its last published state and the server is still serving"
-            .to_string()
-    }
-
     /// Executes one non-session request. This is the single exhaustive
-    /// match the whole serving layer funnels through; errors are the
-    /// structured [`ServerError`] taxonomy, rendered into
-    /// [`Response::Error`] by the surfaces.
+    /// match the shard funnels through; errors are the structured
+    /// [`ServerError`] taxonomy, rendered into [`Response::Error`] by the
+    /// front end. (Inherent, so callers need not import [`Service`].)
     pub fn execute(&self, req: &Request) -> Result<Response, ServerError> {
         // A replica mid catch-up is at *some* consistent old epoch, but
         // serving it would hand the router a read it immediately has to
@@ -664,7 +496,7 @@ impl NedServer {
                 body: HELP_BODY.to_string(),
             },
             Request::Stats => Response::Info {
-                body: self.stats_line(),
+                body: self.stats_body(),
             },
             Request::Epoch => {
                 let (snap, epoch) = self.reader().snapshot_with_epoch();
@@ -729,12 +561,12 @@ impl NedServer {
                 msg: self.catch_up_from(peer)?,
             },
             Request::Query { path, node, top } => {
-                let sig = self.extract(path, *node)?;
+                let sig = self.graphs.signature(path, *node, self.reader().k())?;
                 let (snap, epoch) = self.reader().snapshot_with_epoch();
                 hits_response(epoch, &snap.query(&sig, *top, self.query_threads))
             }
             Request::Range { path, node, radius } => {
-                let sig = self.extract(path, *node)?;
+                let sig = self.graphs.signature(path, *node, self.reader().k())?;
                 let (snap, epoch) = self.reader().snapshot_with_epoch();
                 hits_response(epoch, &snap.range(&sig, *radius, self.query_threads))
             }
@@ -762,7 +594,7 @@ impl NedServer {
                 hits_response(epoch, &snap.range(&sig, *radius, self.query_threads))
             }
             Request::Add { path, node } => {
-                let sig = self.extract(path, *node)?;
+                let sig = self.graphs.signature(path, *node, self.reader().k())?;
                 match self.write_one(WriteOp::Insert(sig))? {
                     (WriteOutcome::Inserted(id), _) => Response::Added { id },
                     _ => unreachable!("insert answers Inserted"),
@@ -789,7 +621,7 @@ impl NedServer {
                 _ => unreachable!("remove answers Removed"),
             },
             Request::Track { path } => {
-                let graph = self.graph(path)?;
+                let graph = self.graphs.graph(path)?;
                 Response::Ok {
                     msg: self.track(&graph)?,
                 }
@@ -819,262 +651,51 @@ impl NedServer {
                 },
                 Err(e) => return Err(ServerError::Io(format!("checkpoint failed: {e}"))),
             },
-            Request::TestPanic if self.config.enable_test_panic => {
-                panic!("test-injected panic (`__panic` command)")
-            }
-            Request::TestPanic => {
-                return Err(ServerError::bad(
-                    "unrecognized command \"__panic\"; try `help`",
-                ))
-            }
-            Request::Quit | Request::Shutdown => {
-                unreachable!("session control handled by dispatch_request")
+            Request::Quit | Request::Shutdown | Request::TestPanic => {
+                return Err(front_end_only(req))
             }
         })
     }
+}
 
-    /// Executes a whole frame payload: one or more newline-separated
-    /// commands, each parsed once at this boundary. Multi-command
-    /// payloads of pure reads fan out on the worker pool
-    /// (order-preserving); anything containing a write runs sequentially.
-    /// Returns the concatenated reply and whether the session should end.
-    pub fn handle_payload(self: &Arc<Self>, payload: &str) -> (String, bool) {
-        let parsed: Vec<Result<Option<Request>, ServerError>> =
-            payload.lines().map(Request::parse_line).collect();
-        // Blank lines and parse errors count as reads: they answer
-        // without touching anything.
-        let all_reads = parsed.len() > 1
-            && parsed
-                .iter()
-                .all(|p| !matches!(p, Ok(Some(req)) if req.is_write()));
-        if all_reads {
-            let jobs: Vec<_> = parsed
-                .into_iter()
-                .map(|p| {
-                    let server = Arc::clone(self);
-                    // The isolation matters doubly here: a panic that
-                    // escaped a pool job would kill a pool worker and
-                    // poison every later batch frame.
-                    move || match p {
-                        Ok(None) => String::new(),
-                        Err(e) => Response::Error(e).to_string(),
-                        Ok(Some(req)) => match server.dispatch_request_isolated(req) {
-                            Dispatch::Reply(r) => r,
-                            _ => unreachable!("read-only requests never end the session"),
-                        },
-                    }
-                })
-                .collect();
-            return (self.pool.run_ordered(jobs).join("\n"), false);
-        }
-        let mut replies = Vec::with_capacity(parsed.len());
-        for p in parsed {
-            match p {
-                Ok(None) => replies.push(String::new()),
-                Err(e) => replies.push(Response::Error(e).to_string()),
-                Ok(Some(req)) => match self.dispatch_request_isolated(req) {
-                    Dispatch::Reply(r) => replies.push(r),
-                    Dispatch::Quit => {
-                        replies.push("ok bye".to_string());
-                        return (replies.join("\n"), true);
-                    }
-                    Dispatch::Shutdown => {
-                        replies.push(
-                            "ok draining: in-flight connections finish, a final checkpoint \
-                             runs, then the server exits"
-                                .to_string(),
-                        );
-                        return (replies.join("\n"), true);
-                    }
-                },
-            }
-        }
-        (replies.join("\n"), false)
+impl Service for NedServer {
+    fn execute(&self, req: &Request) -> Result<Response, ServerError> {
+        NedServer::execute(self, req)
     }
 
-    /// Flips the drain flag and wakes the acceptor with a throwaway
-    /// loopback connection (an accept blocked in the kernel cannot see
-    /// an atomic). Idempotent; the `shutdown` command lands here.
-    pub fn initiate_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        let addr = *self.local_addr.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(addr) = addr {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        }
-    }
-
-    /// Whether `shutdown` has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
+    /// Multi-line summary of the current snapshot, the TED\* memo's
+    /// effectiveness counters, and the durability configuration.
+    fn stats_body(&self) -> String {
+        let (snap, epoch) = self.reader().snapshot_with_epoch();
+        let stats = snap.stats();
+        let tracking = match lock(&self.maintained).as_ref() {
+            Some(m) => format!("{} nodes / {} edges", m.num_nodes(), m.num_edges()),
+            None => "none".to_string(),
+        };
+        format!(
+            "signatures: {} (k = {}), buffer {}, shards {:?}, tombstones {}, epoch {epoch}, \
+             tracking {tracking}\nsketch: mode {}, {}\nmemo: {}\n{}, checkpoint failures {}",
+            stats.len,
+            snap.k(),
+            stats.buffer,
+            stats.shard_sizes,
+            stats.tombstones,
+            snap.sketch_mode(),
+            snap.sketch_stats(),
+            TedMemo::global().stats(),
+            self.index.describe(),
+            self.checkpoint_failures.load(Ordering::Relaxed),
+        )
     }
 
     /// Final checkpoint (snapshot + WAL reset); `Ok(None)` when serving
-    /// ephemerally. The drain path and the CLI's session teardown both
-    /// call this so a clean exit never needs log replay on the next boot.
-    pub fn finalize(&self) -> std::io::Result<Option<u64>> {
+    /// ephemerally.
+    fn finalize(&self) -> std::io::Result<Option<u64>> {
         self.index.checkpoint()
     }
 
-    /// Accept loop: one thread per connection, all sharing this server.
-    /// Runs until the listener fails or `shutdown` drains it; individual
-    /// connection errors only end that connection. On shutdown the loop
-    /// stops accepting, waits out in-flight frames (force-closing idle
-    /// sockets after [`ServerConfig::drain_grace`]), runs a final
-    /// checkpoint, and returns `Ok(())` so the process can exit 0.
-    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        *self.local_addr.lock().unwrap_or_else(|p| p.into_inner()) = listener.local_addr().ok();
-        for conn in listener.incoming() {
-            if self.is_shutting_down() {
-                break;
-            }
-            let stream = conn?;
-            self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            // The accept loop is the only incrementer of `active`, so
-            // check-then-increment cannot race past the cap.
-            let active = self.counters.active.load(Ordering::Relaxed);
-            if active >= self.config.max_conns {
-                self.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                let refusal = ServerError::Overloaded(format!(
-                    "{active}/{} connections; retry later",
-                    self.config.max_conns
-                ));
-                let mut w = &stream;
-                let _ = wire::write_text_frame(&mut w, &refusal.to_string());
-                continue; // drop closes the socket
-            }
-            self.counters.active.fetch_add(1, Ordering::Relaxed);
-            let id = self.conn_seq.fetch_add(1, Ordering::Relaxed);
-            if let Ok(clone) = stream.try_clone() {
-                self.conns
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(id, clone);
-            }
-            let server = Arc::clone(self);
-            std::thread::spawn(move || {
-                // Belt over the per-command suspenders: nothing a
-                // connection does may unwind into the process.
-                if catch_unwind(AssertUnwindSafe(|| server.handle_conn(&stream))).is_err() {
-                    server.counters.panics.fetch_add(1, Ordering::Relaxed);
-                }
-                server.counters.active.fetch_sub(1, Ordering::Relaxed);
-                server
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .remove(&id);
-            });
-        }
-        self.drain();
-        self.finalize().map(|_| ())
-    }
-
-    /// Waits for in-flight connections, then force-closes stragglers and
-    /// waits once more. Every wait is bounded by the drain grace.
-    fn drain(&self) {
-        let wait = |deadline: Instant| {
-            while self.counters.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        };
-        wait(Instant::now() + self.config.drain_grace);
-        for (_, conn) in self.conns.lock().unwrap_or_else(|p| p.into_inner()).drain() {
-            let _ = conn.shutdown(SocketShutdown::Both);
-        }
-        wait(Instant::now() + self.config.drain_grace);
-    }
-
-    fn handle_conn(self: &Arc<Self>, stream: &TcpStream) {
-        let _ = stream.set_read_timeout(self.config.read_timeout);
-        let _ = stream.set_write_timeout(self.config.write_timeout);
-        let mut read_half = stream;
-        let mut write_half = stream;
-        loop {
-            match wire::read_frame(&mut read_half) {
-                Ok(None) => return, // clean disconnect
-                Ok(Some(payload)) => {
-                    // UTF-8 decoding happens here rather than in
-                    // `read_text_frame`: a non-UTF-8 payload inside a
-                    // checksum-valid frame means framing sync is intact,
-                    // so it gets an in-band error and the connection
-                    // survives.
-                    let reply = match String::from_utf8(payload) {
-                        Ok(text) => {
-                            let (reply, quit) = self.handle_payload(&text);
-                            if wire::write_text_frame(&mut write_half, &reply).is_err()
-                                || quit
-                                || self.is_shutting_down()
-                            {
-                                return;
-                            }
-                            continue;
-                        }
-                        Err(_) => ServerError::Corrupt("frame payload is not UTF-8".to_string())
-                            .to_string(),
-                    };
-                    if wire::write_text_frame(&mut write_half, &reply).is_err() {
-                        return;
-                    }
-                }
-                Err(wire::WireError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // The socket timeout fired: the client is wedged (or
-                    // just idle past the limit). Say why, then hang up.
-                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                    let timeout = ServerError::Io("socket timeout; closing connection".to_string());
-                    let _ = wire::write_text_frame(&mut write_half, &timeout.to_string());
-                    return;
-                }
-                Err(e) => {
-                    // Framing sync is gone (bad length, magic, checksum,
-                    // or non-UTF-8 payload): tell the client why — as the
-                    // Corrupt it is — then hang up.
-                    let corrupt = ServerError::from(e);
-                    let _ = wire::write_text_frame(&mut write_half, &corrupt.to_string());
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Loads (and caches) the edge-list graph at `path`. The cache lock
-    /// is never held across parsing.
-    fn graph(&self, path: &str) -> Result<Arc<Graph>, ServerError> {
-        let cached = {
-            let graphs = self.graphs.lock().unwrap_or_else(|p| p.into_inner());
-            graphs.get(path).cloned()
-        };
-        match cached {
-            Some(g) => Ok(g),
-            None => {
-                let g = Arc::new(
-                    graph_io::read_edge_list(Path::new(path), false)
-                        .map_err(|e| ServerError::bad(format!("{path}: {e}")))?,
-                );
-                self.graphs
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(path.to_string(), Arc::clone(&g));
-                Ok(g)
-            }
-        }
-    }
-
-    /// Extracts the query signature for `<path> <node>`, caching the
-    /// parsed graph.
-    fn extract(&self, path: &str, node: NodeId) -> Result<NodeSignature, ServerError> {
-        let graph = self.graph(path)?;
-        if (node as usize) >= graph.num_nodes() {
-            return Err(ServerError::bad(format!(
-                "node {node} out of range (graph has {} nodes)",
-                graph.num_nodes()
-            )));
-        }
-        Ok(NodeSignature::extract(&graph, node, self.reader().k()))
+    fn pool_threads(&self) -> usize {
+        self.pool_threads
     }
 }
 
@@ -1350,17 +971,15 @@ impl WireClient {
     ///
     /// ```
     /// use ned_core::{Request, Response};
-    /// use ned_index::{NedServer, SignatureIndex, WireClient};
+    /// use ned_index::{FrontEnd, NedServer, ServerConfig, SignatureIndex, WireClient};
     /// use std::net::TcpListener;
     /// use std::sync::Arc;
     ///
-    /// let server = Arc::new(NedServer::new(SignatureIndex::new(3, 16, 1), 1, 1));
+    /// let shard = NedServer::new(SignatureIndex::new(3, 16, 1), 1, 1);
+    /// let front = Arc::new(FrontEnd::new(shard, ServerConfig::default()));
     /// let listener = TcpListener::bind("127.0.0.1:0")?;
     /// let addr = listener.local_addr()?;
-    /// std::thread::spawn({
-    ///     let server = Arc::clone(&server);
-    ///     move || server.serve_tcp(listener)
-    /// });
+    /// std::thread::spawn(move || front.serve_tcp(listener));
     ///
     /// let mut client = WireClient::connect(addr)?;
     /// match client.request(&Request::Stats)? {

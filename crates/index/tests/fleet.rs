@@ -11,7 +11,7 @@ use ned_index::durable::{DurableIndex, DurableOptions};
 use ned_index::maintain::GraphMaintainer;
 use ned_index::router::{RouterOptions, ShardRouter};
 use ned_index::signatures::SignatureIndex;
-use ned_index::{fleet, ConcurrentNedIndex, NedServer};
+use ned_index::{fleet, ConcurrentNedIndex, FrontEnd, NedServer, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::net::TcpListener;
@@ -49,14 +49,14 @@ fn wire_key(resp: Response) -> Vec<(u64, u64)> {
 
 /// One in-process shard: a [`NedServer`] on an OS-assigned loopback port.
 struct ShardHandle {
-    server: Arc<NedServer>,
+    server: Arc<FrontEnd<NedServer>>,
     addr: String,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ShardHandle {
     fn spawn(server: NedServer, listener: TcpListener) -> ShardHandle {
-        let server = Arc::new(server);
+        let server = Arc::new(FrontEnd::new(server, ServerConfig::default()));
         let addr = listener.local_addr().expect("bound").to_string();
         let for_thread = Arc::clone(&server);
         let thread = std::thread::spawn(move || {
@@ -467,77 +467,4 @@ fn retry_bind(addr: &str) -> TcpListener {
             Err(e) => panic!("rebind {addr}: {e}"),
         }
     }
-}
-
-#[test]
-fn router_server_speaks_the_same_wire_protocol() {
-    use ned_index::router::RouterServer;
-    use ned_index::WireClient;
-
-    let k = 3;
-    let g = ba_graph(60, 17);
-    let index = build_index(&g, k);
-    let monolith = NedServer::new(index.clone(), 1, 1);
-    let (_handles, router) = stand_up_fleet(&index, 3, k);
-
-    let front = Arc::new(RouterServer::new(router));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind front");
-    let front_addr = listener.local_addr().expect("addr").to_string();
-    let serving = Arc::clone(&front);
-    let front_thread = std::thread::spawn(move || {
-        let _ = serving.serve_tcp(listener);
-    });
-
-    let mut client = WireClient::connect(&front_addr).expect("connect");
-    let shape = shape_of(&g, 9, k);
-
-    // Typed round trip through the real socket.
-    let resp = client
-        .request(&Request::Sig {
-            shape: shape.clone(),
-            top: 8,
-            within: None,
-        })
-        .expect("front sig");
-    let want = wire_key(
-        monolith
-            .execute(&Request::Sig {
-                shape: shape.clone(),
-                top: 8,
-                within: None,
-            })
-            .expect("monolith sig"),
-    );
-    assert_eq!(wire_key(resp), want, "front-end == monolith over the wire");
-
-    // Text-form compatibility: the epoch probe and a write keep the
-    // historical reply grammar intact for old clients.
-    let reply = client.call("epoch").expect("epoch text");
-    assert!(reply.starts_with("ok epoch="), "reply was {reply:?}");
-    let reply = client.call(&format!("addsig {shape}")).expect("addsig");
-    assert!(reply.starts_with("ok id="), "reply was {reply:?}");
-    let reply = client.call("stats").expect("stats");
-    assert!(reply.contains("router: 3 shard(s)"), "reply was {reply:?}");
-    let reply = client.call("help").expect("help");
-    assert!(reply.contains("scatter-gather"), "reply was {reply:?}");
-    // Batched frames split per command, like the single server.
-    let reply = client
-        .call(&format!("sig {shape} 3\nepoch"))
-        .expect("batch");
-    let parsed = Response::parse_stream(&reply).expect("parse batch");
-    assert_eq!(parsed.len(), 2, "two replies for two commands");
-    let reply = client.call("save /tmp/nope.idx").expect("save");
-    assert!(
-        reply.starts_with("error: ") && reply.contains("no index"),
-        "reply was {reply:?}"
-    );
-    let reply = client.call("quit").expect("quit");
-    assert_eq!(reply, "ok bye");
-
-    // Shutdown drains the front-end but leaves the shards serving.
-    let mut c2 = WireClient::connect(&front_addr).expect("reconnect");
-    let reply = c2.call("shutdown").expect("shutdown");
-    assert!(reply.starts_with("ok draining"), "reply was {reply:?}");
-    front_thread.join().expect("front drains");
-    front.router().shutdown_fleet();
 }

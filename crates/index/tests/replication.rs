@@ -20,7 +20,7 @@ use ned_index::durable::{DurableIndex, DurableOptions};
 use ned_index::router::{RouterOptions, ShardMap, ShardRouter};
 use ned_index::server::WireClient;
 use ned_index::signatures::SignatureIndex;
-use ned_index::NedServer;
+use ned_index::{FrontEnd, NedServer, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::net::TcpListener;
@@ -65,7 +65,7 @@ fn fast_options(k: usize, next_id: u64) -> RouterOptions {
 
 /// One in-process durable replica on an OS-assigned (or given) port.
 struct ReplicaHandle {
-    server: Arc<NedServer>,
+    server: Arc<FrontEnd<NedServer>>,
     addr: String,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -83,7 +83,10 @@ impl ReplicaHandle {
     ) -> ReplicaHandle {
         let (durable, _report) =
             DurableIndex::recover(index_path, wal_path, opts).expect("recover replica");
-        let server = Arc::new(NedServer::with_durability(durable, 1, 1));
+        let server = Arc::new(FrontEnd::new(
+            NedServer::with_durability(durable, 1, 1),
+            ServerConfig::default(),
+        ));
         let addr = listener.local_addr().expect("bound").to_string();
         let for_thread = Arc::clone(&server);
         let thread = std::thread::spawn(move || {
@@ -796,7 +799,10 @@ fn error_taxonomy_drives_failover_table() {
             let healthy = {
                 let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
                 let addr = listener.local_addr().expect("addr").to_string();
-                let server = Arc::new(NedServer::new(index.clone(), 1, 1));
+                let server = Arc::new(FrontEnd::new(
+                    NedServer::new(index.clone(), 1, 1),
+                    ServerConfig::default(),
+                ));
                 let for_thread = Arc::clone(&server);
                 std::thread::spawn(move || {
                     let _ = for_thread.serve_tcp(listener);

@@ -3,46 +3,158 @@
 //! and — just as important — the malformed-frame error paths (garbage
 //! bodies, corrupted checksums, hostile length prefixes all get an
 //! `error:` reply and a closed connection, never a hang or a panic).
+//!
+//! Both serving roles sit behind the same [`FrontEnd`], so every
+//! hardening case (timeouts, shedding, drain, panic isolation, malformed
+//! frames, counters) runs against both through one harness: a shard
+//! ([`NedServer`]) and a router ([`RouterServer`]) over an in-process
+//! fleet of shards.
 
-use ned_core::{wire, NodeSignature};
-use ned_graph::generators;
-use ned_index::{NedServer, ServerConfig, SignatureIndex, WireClient};
+use ned_core::{wire, NodeSignature, Request, Response};
+use ned_graph::{generators, Graph};
+use ned_index::{
+    split_index, FrontEnd, IndexWriter, NedServer, RouterOptions, RouterServer, ServerConfig,
+    Service, ShardRouter, SignatureIndex, WireClient,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::net::TcpListener;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Starts a server over a fresh BA-graph index on an ephemeral loopback
-/// port; returns the address (the listener thread dies with the test
-/// process).
-fn start_server() -> (std::net::SocketAddr, Arc<NedServer>) {
-    let (addr, server, _) = start_server_with(ServerConfig::default());
-    (addr, server)
+/// The BA graph every test index is built from.
+fn test_graph() -> Graph {
+    let mut rng = SmallRng::seed_from_u64(77);
+    generators::barabasi_albert(120, 2, &mut rng)
 }
 
-/// [`start_server`] with explicit serving limits, also returning the
-/// acceptor thread's handle so shutdown tests can join it.
-fn start_server_with(
-    config: ServerConfig,
-) -> (
-    std::net::SocketAddr,
-    Arc<NedServer>,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let mut rng = SmallRng::seed_from_u64(77);
-    let g = generators::barabasi_albert(120, 2, &mut rng);
+/// Signatures of every node of [`test_graph`] at `k = 2`, ids `0..120`.
+fn test_index() -> SignatureIndex {
+    let g = test_graph();
     let nodes: Vec<u32> = g.nodes().collect();
     let mut index = SignatureIndex::new(2, 32, 1);
     index.insert_graph(&g, &nodes);
-    let server = Arc::new(NedServer::new(index, 1, 2).with_config(config));
+    index
+}
+
+/// Serves `service` behind a front end on an ephemeral loopback port;
+/// returns the address, the front end and the acceptor thread (which
+/// dies with the test process unless a test drains it).
+fn serve<S: Service>(
+    service: S,
+    config: ServerConfig,
+) -> (
+    SocketAddr,
+    Arc<FrontEnd<S>>,
+    JoinHandle<std::io::Result<()>>,
+) {
+    let front = Arc::new(FrontEnd::new(service, config));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let handle = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.serve_tcp(listener))
+        let front = Arc::clone(&front);
+        std::thread::spawn(move || front.serve_tcp(listener))
     };
-    (addr, server, handle)
+    (addr, front, handle)
+}
+
+/// A shard serving [`test_index`] with default limits.
+fn start_server() -> (SocketAddr, Arc<FrontEnd<NedServer>>) {
+    let (addr, front, _) = serve(NedServer::new(test_index(), 1, 2), ServerConfig::default());
+    (addr, front)
+}
+
+/// The two serving roles behind the front end.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    Shard,
+    Router,
+}
+
+const ROLES: [Role; 2] = [Role::Shard, Role::Router];
+
+/// One role serving [`test_index`] under test.
+struct Served {
+    role: Role,
+    addr: SocketAddr,
+    acceptor: JoinHandle<std::io::Result<()>>,
+    /// Whether the front end under test is draining.
+    draining: Box<dyn Fn() -> bool>,
+    /// The shards holding the index: the served shard itself, or the
+    /// router's in-process fleet (served with default limits).
+    shards: Vec<Arc<FrontEnd<NedServer>>>,
+}
+
+impl Served {
+    /// Starts `role` with `config` on its front end — the front end
+    /// under test.
+    fn start(role: Role, config: ServerConfig) -> Served {
+        let index = test_index();
+        match role {
+            Role::Shard => {
+                let (addr, front, acceptor) = serve(NedServer::new(index, 1, 2), config);
+                let probe = Arc::clone(&front);
+                Served {
+                    role,
+                    addr,
+                    acceptor,
+                    draining: Box::new(move || probe.is_shutting_down()),
+                    shards: vec![front],
+                }
+            }
+            Role::Router => {
+                let (map, parts) = split_index(&index, 3);
+                let (addrs, shards): (Vec<_>, Vec<_>) = parts
+                    .into_iter()
+                    .map(|part| {
+                        let (addr, front, _) =
+                            serve(NedServer::new(part, 1, 1), ServerConfig::default());
+                        (vec![addr.to_string()], front)
+                    })
+                    .unzip();
+                let opts = RouterOptions {
+                    k: 2,
+                    next_id: index.next_id(),
+                    read_timeout: Some(Duration::from_secs(2)),
+                    write_timeout: Some(Duration::from_secs(2)),
+                    retry_attempts: 2,
+                    read_rounds: 3,
+                    quorum: 0,
+                };
+                let router = ShardRouter::connect(map, addrs, opts).expect("router connects");
+                let (addr, front, acceptor) = serve(RouterServer::new(router), config);
+                Served {
+                    role,
+                    addr,
+                    acceptor,
+                    draining: Box::new(move || front.is_shutting_down()),
+                    shards,
+                }
+            }
+        }
+    }
+
+    fn client(&self) -> WireClient {
+        WireClient::connect(self.addr).expect("connect")
+    }
+
+    /// Holds every shard's writer lock: a write sent while the guards
+    /// live stays in flight until they drop.
+    fn stall_writes(&self) -> Vec<MutexGuard<'_, IndexWriter>> {
+        self.shards
+            .iter()
+            .map(|s| s.service().durable().writer())
+            .collect()
+    }
+
+    /// The first line of the role's own `stats` body.
+    fn stats_marker(&self) -> &'static str {
+        match self.role {
+            Role::Shard => "signatures: 120",
+            Role::Router => "router: 3 shard(s)",
+        }
+    }
 }
 
 #[test]
@@ -55,15 +167,8 @@ fn track_addedge_deledge_maintain_the_live_index() {
     ned_graph::io::write_edge_list(&g, &path).expect("write graph");
     let mut index = SignatureIndex::new(3, 32, 1);
     index.insert_graph(&g, &g.nodes().collect::<Vec<_>>());
-    let server = Arc::new(NedServer::new(index, 1, 2));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            let _ = server.serve_tcp(listener);
-        });
-    }
+    let (addr, front, _) = serve(NedServer::new(index, 1, 2), ServerConfig::default());
+    let server = front.service();
     let mut client = WireClient::connect(addr).expect("connect");
 
     // Deltas before tracking are in-band errors.
@@ -137,7 +242,8 @@ fn track_addedge_deledge_maintain_the_live_index() {
 
 #[test]
 fn commands_round_trip_over_the_socket() {
-    let (addr, server) = start_server();
+    let (addr, front) = start_server();
+    let server = front.service();
     let mut client = WireClient::connect(addr).expect("connect");
 
     let stats = client.call("stats").expect("stats");
@@ -252,67 +358,68 @@ fn concurrent_clients_get_consistent_replies() {
 
 #[test]
 fn malformed_frames_get_an_error_reply_and_a_hangup() {
-    let (addr, _server) = start_server();
+    for role in ROLES {
+        let served = Served::start(role, ServerConfig::default());
 
-    // Valid length prefix, garbage body: bad magic.
-    let mut client = WireClient::connect(addr).expect("connect");
-    let mut poison = Vec::new();
-    poison.extend_from_slice(&32u32.to_le_bytes());
-    poison.extend_from_slice(&[0xAB; 32]);
-    client.send_bytes(&poison).expect("send garbage");
-    let reply = client.read_reply().expect("error reply before hangup");
-    assert!(reply.starts_with("error:"), "{reply}");
-    assert!(
-        reply.contains("malformed frame") || reply.contains("magic"),
-        "{reply}"
-    );
-    let rest = client.read_to_end().expect("read after error");
-    assert!(rest.is_empty(), "server must close a poisoned stream");
+        // Valid length prefix, garbage body: bad magic.
+        let mut client = served.client();
+        let mut poison = Vec::new();
+        poison.extend_from_slice(&32u32.to_le_bytes());
+        poison.extend_from_slice(&[0xAB; 32]);
+        client.send_bytes(&poison).expect("send garbage");
+        let reply = client.read_reply().expect("error reply before hangup");
+        assert!(reply.starts_with("error:"), "{role:?}: {reply}");
+        assert!(
+            reply.contains("malformed frame") || reply.contains("magic"),
+            "{role:?}: {reply}"
+        );
+        let rest = client.read_to_end().expect("read after error");
+        assert!(rest.is_empty(), "{role:?}: must close a poisoned stream");
 
-    // Corrupted checksum inside an otherwise well-formed frame.
-    let mut client = WireClient::connect(addr).expect("connect");
-    let mut frame = wire::encode_frame(b"stats");
-    let last = frame.len() - 1;
-    frame[last] ^= 0xFF;
-    client.send_bytes(&frame).expect("send corrupted");
-    let reply = client.read_reply().expect("error reply");
-    assert!(reply.contains("checksum"), "{reply}");
-    assert!(client.read_to_end().expect("eof").is_empty());
+        // Corrupted checksum inside an otherwise well-formed frame.
+        let mut client = served.client();
+        let mut frame = wire::encode_frame(b"stats");
+        let last = frame.len() - 1;
+        frame[last] ^= 0xFF;
+        client.send_bytes(&frame).expect("send corrupted");
+        let reply = client.read_reply().expect("error reply");
+        assert!(reply.contains("checksum"), "{role:?}: {reply}");
+        assert!(client.read_to_end().expect("eof").is_empty());
 
-    // Hostile length prefix: rejected without a giant allocation.
-    let mut client = WireClient::connect(addr).expect("connect");
-    client
-        .send_bytes(&u32::MAX.to_le_bytes())
-        .expect("send hostile length");
-    let reply = client.read_reply().expect("error reply");
-    assert!(reply.contains("bad frame length"), "{reply}");
-    assert!(client.read_to_end().expect("eof").is_empty());
+        // Hostile length prefix: rejected without a giant allocation.
+        let mut client = served.client();
+        client
+            .send_bytes(&u32::MAX.to_le_bytes())
+            .expect("send hostile length");
+        let reply = client.read_reply().expect("error reply");
+        assert!(reply.contains("bad frame length"), "{role:?}: {reply}");
+        assert!(client.read_to_end().expect("eof").is_empty());
 
-    // Non-UTF-8 payload in a valid frame: in-band error, connection
-    // survives (framing sync is intact).
-    let mut client = WireClient::connect(addr).expect("connect");
-    client
-        .send_raw(&[0xFF, 0xFE, 0x80])
-        .expect("send non-utf8 payload");
-    let reply = client.read_reply().expect("reply");
-    assert!(reply.contains("not UTF-8"), "{reply}");
-    let ok = client.call("epoch").expect("connection still usable");
-    assert!(ok.starts_with("ok epoch="), "{ok}");
+        // Non-UTF-8 payload in a valid frame: in-band error, connection
+        // survives (framing sync is intact).
+        let mut client = served.client();
+        client
+            .send_raw(&[0xFF, 0xFE, 0x80])
+            .expect("send non-utf8 payload");
+        let reply = client.read_reply().expect("reply");
+        assert!(reply.contains("not UTF-8"), "{role:?}: {reply}");
+        let ok = client.call("epoch").expect("connection still usable");
+        assert!(ok.starts_with("ok epoch="), "{role:?}: {ok}");
 
-    // And the server is still healthy for everyone else.
-    let mut client = WireClient::connect(addr).expect("connect");
-    assert!(client.call("stats").expect("stats").contains("signatures:"));
+        // And the server is still healthy for everyone else.
+        let stats = served.client().call("stats").expect("stats");
+        assert!(stats.contains(served.stats_marker()), "{role:?}: {stats}");
+    }
 }
 
 #[test]
 fn queries_over_tcp_match_local_scans() {
-    let (addr, server) = start_server();
+    let (addr, front) = start_server();
     let mut client = WireClient::connect(addr).expect("connect");
     // The server's own snapshot is the ground truth; the wire must not
     // change a single hit.
-    let mut rng = SmallRng::seed_from_u64(77);
-    let g = generators::barabasi_albert(120, 2, &mut rng);
-    let snap = server.reader().snapshot();
+    let g = test_graph();
+    let snap = front.service().reader().snapshot();
     for node in [0u32, 13, 59, 118] {
         let sig = NodeSignature::extract(&g, node, 2);
         let want = snap.scan(&sig, 5);
@@ -334,133 +441,225 @@ fn queries_over_tcp_match_local_scans() {
 
 #[test]
 fn overload_cap_rejects_with_a_clean_error_frame() {
-    let (addr, _server, _h) = start_server_with(ServerConfig {
-        max_conns: 1,
-        drain_grace: Duration::from_millis(200),
-        ..ServerConfig::default()
-    });
-    let mut first = WireClient::connect(addr).expect("connect first");
-    // Round-trip once so the acceptor has definitely admitted us before
-    // the second connection races in.
-    assert!(first
-        .call("epoch")
-        .expect("first client works")
-        .starts_with("ok"));
+    for role in ROLES {
+        let served = Served::start(
+            role,
+            ServerConfig {
+                max_conns: 1,
+                drain_grace: Duration::from_millis(200),
+                ..ServerConfig::default()
+            },
+        );
+        let addr = served.addr;
+        let mut first = served.client();
+        // Round-trip once so the acceptor has definitely admitted us
+        // before the second connection races in.
+        assert!(first
+            .call("epoch")
+            .expect("first client works")
+            .starts_with("ok"));
 
-    let mut second = WireClient::connect(addr).expect("tcp connect still succeeds");
-    let refusal = second.read_reply().expect("overload frame");
-    assert!(refusal.starts_with("error: overloaded:"), "{refusal}");
-    assert!(
-        second.read_to_end().expect("eof").is_empty(),
-        "overloaded connection must be closed after the error frame"
-    );
+        let mut second = WireClient::connect(addr).expect("tcp connect still succeeds");
+        let refusal = second.read_reply().expect("overload frame");
+        assert!(
+            refusal.starts_with("error: overloaded:"),
+            "{role:?}: {refusal}"
+        );
+        assert!(
+            second.read_to_end().expect("eof").is_empty(),
+            "{role:?}: overloaded connection must be closed after the error frame"
+        );
 
-    // Freeing the slot lets new clients in (the handler decrements the
-    // active count asynchronously, so poll briefly). A probe on a
-    // rejected connection reads the overload frame where its reply
-    // would be; an admitted probe gets the real answer.
-    assert_eq!(first.call("quit").expect("quit"), "ok bye");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let reply = loop {
-        let mut probe = WireClient::connect(addr).expect("probe connect");
-        match probe.call("epoch") {
-            Ok(r) if r.starts_with("ok epoch=") => break r,
-            Ok(r) => assert!(r.starts_with("error: overloaded:"), "{r}"),
-            Err(_) => {} // rejected and closed mid-probe
-        }
-        assert!(std::time::Instant::now() < deadline, "slot never freed");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(reply.starts_with("ok epoch="), "{reply}");
+        // Freeing the slot lets new clients in (the handler decrements
+        // the active count asynchronously, so poll briefly). A probe on a
+        // rejected connection reads the overload frame where its reply
+        // would be; an admitted probe gets the real answer.
+        assert_eq!(first.call("quit").expect("quit"), "ok bye");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let reply = loop {
+            let mut probe = WireClient::connect(addr).expect("probe connect");
+            match probe.call("epoch") {
+                Ok(r) if r.starts_with("ok epoch=") => break r,
+                Ok(r) => assert!(r.starts_with("error: overloaded:"), "{role:?}: {r}"),
+                Err(_) => {} // rejected and closed mid-probe
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{role:?}: slot never freed"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(reply.starts_with("ok epoch="), "{role:?}: {reply}");
+    }
 }
 
 #[test]
 fn idle_connections_time_out_with_an_error_frame() {
-    let (addr, server, _h) = start_server_with(ServerConfig {
-        read_timeout: Some(Duration::from_millis(150)),
-        ..ServerConfig::default()
-    });
-    let mut client = WireClient::connect(addr).expect("connect");
-    // Send nothing: the server's read timeout must fire, answer with an
-    // in-band error, and close the connection.
-    let reply = client.read_reply().expect("timeout frame");
-    assert!(reply.contains("socket timeout"), "{reply}");
-    assert!(client.read_to_end().expect("eof").is_empty());
-    let stats = {
-        let mut c = WireClient::connect(addr).expect("connect");
-        c.call("stats").expect("stats")
-    };
-    assert!(stats.contains("timeouts 1"), "{stats}");
-    drop(server);
+    for role in ROLES {
+        let served = Served::start(
+            role,
+            ServerConfig {
+                read_timeout: Some(Duration::from_millis(150)),
+                ..ServerConfig::default()
+            },
+        );
+        let mut client = served.client();
+        // Send nothing: the read timeout must fire, answer with an
+        // in-band error, and close the connection.
+        let reply = client.read_reply().expect("timeout frame");
+        assert!(reply.contains("socket timeout"), "{role:?}: {reply}");
+        assert!(client.read_to_end().expect("eof").is_empty());
+        let stats = served.client().call("stats").expect("stats");
+        assert!(stats.contains("timeouts 1"), "{role:?}: {stats}");
+    }
+}
+
+/// The `ok epoch=...` reply, which for both roles changes exactly when
+/// a write publishes.
+fn wire_epoch(client: &mut WireClient) -> String {
+    let reply = client.call("epoch").expect("epoch");
+    assert!(reply.starts_with("ok epoch="), "{reply}");
+    reply
 }
 
 #[test]
 fn a_panicking_command_is_isolated_to_an_error_reply() {
-    let (addr, server, _h) = start_server_with(ServerConfig {
-        enable_test_panic: true,
-        ..ServerConfig::default()
-    });
-    let mut client = WireClient::connect(addr).expect("connect");
-    let epoch_before = server.reader().epoch();
+    for role in ROLES {
+        let served = Served::start(
+            role,
+            ServerConfig {
+                enable_test_panic: true,
+                ..ServerConfig::default()
+            },
+        );
+        let mut client = served.client();
+        let epoch_before = wire_epoch(&mut client);
 
-    let reply = client.call("__panic").expect("panic must become a reply");
-    assert!(reply.starts_with("error: internal panic"), "{reply}");
+        let reply = client.call("__panic").expect("panic must become a reply");
+        assert!(
+            reply.starts_with("error: internal panic"),
+            "{role:?}: {reply}"
+        );
 
-    // The connection, the server, and the index all survive.
-    let ok = client.call("epoch").expect("same connection still works");
-    assert!(ok.starts_with("ok epoch="), "{ok}");
-    assert_eq!(
-        server.reader().epoch(),
-        epoch_before,
-        "no phantom publication"
-    );
-    let added = client.call("addsig (()())").expect("writes still work");
-    assert!(added.starts_with("ok id="), "{added}");
+        // The connection, the server, and the index all survive.
+        assert_eq!(
+            wire_epoch(&mut client),
+            epoch_before,
+            "{role:?}: no phantom publication"
+        );
+        let added = client.call("addsig (()())").expect("writes still work");
+        assert!(added.starts_with("ok id="), "{role:?}: {added}");
 
-    // Mixed into a batch frame, the panic poisons only its own line.
-    let batch = client
-        .call("epoch\n__panic\nepoch")
-        .expect("batch with a panicking line");
-    let lines: Vec<&str> = batch.lines().collect();
-    assert!(lines[0].starts_with("ok epoch="), "{batch}");
-    assert!(lines[1].starts_with("error: internal panic"), "{batch}");
-    assert!(lines[2].starts_with("ok epoch="), "{batch}");
+        // Mixed into a batch frame, the panic poisons only its own line.
+        let batch = client
+            .call("epoch\n__panic\nepoch")
+            .expect("batch with a panicking line");
+        let lines: Vec<&str> = batch.lines().collect();
+        assert!(lines[0].starts_with("ok epoch="), "{role:?}: {batch}");
+        assert!(
+            lines[1].starts_with("error: internal panic"),
+            "{role:?}: {batch}"
+        );
+        assert!(lines[2].starts_with("ok epoch="), "{role:?}: {batch}");
 
-    let stats = client.call("stats").expect("stats");
-    assert!(stats.contains("panics isolated 2"), "{stats}");
+        let stats = client.call("stats").expect("stats");
+        assert!(stats.contains("panics isolated 2"), "{role:?}: {stats}");
+
+        // The panic reply is non-retryable in both roles, so a retrying
+        // client never re-sends a command that panicked: one request,
+        // one more isolated panic.
+        let mut retrying = WireClient::builder()
+            .retry(3)
+            .connect(served.addr)
+            .expect("connect");
+        match retrying.request_with_retry(&Request::TestPanic) {
+            Ok(Response::Error(e)) => assert!(!e.is_retryable(), "{role:?}: {e:?}"),
+            other => panic!("{role:?}: expected an error reply, got {other:?}"),
+        }
+        let stats = client.call("stats").expect("stats");
+        assert!(stats.contains("panics isolated 3"), "{role:?}: {stats}");
+    }
 }
 
 #[test]
 fn shutdown_drains_checkpoints_and_stops_the_acceptor() {
-    let (addr, server, handle) = start_server_with(ServerConfig {
-        drain_grace: Duration::from_millis(300),
-        ..ServerConfig::default()
-    });
-    let mut client = WireClient::connect(addr).expect("connect");
-    // An idle second connection must not wedge the drain.
-    let _idle = WireClient::connect(addr).expect("idle connect");
-    std::thread::sleep(Duration::from_millis(50));
+    for role in ROLES {
+        let served = Served::start(
+            role,
+            ServerConfig {
+                drain_grace: Duration::from_millis(300),
+                ..ServerConfig::default()
+            },
+        );
+        let addr = served.addr;
+        let mut client = served.client();
+        // An idle second connection must not wedge the drain.
+        let _idle = served.client();
+        std::thread::sleep(Duration::from_millis(50));
 
-    let reply = client.call("shutdown").expect("shutdown reply");
-    assert!(reply.starts_with("ok draining"), "{reply}");
-    assert!(server.is_shutting_down());
+        let reply = client.call("shutdown").expect("shutdown reply");
+        assert!(reply.starts_with("ok draining"), "{role:?}: {reply}");
+        assert!((served.draining)(), "{role:?}");
 
-    // The accept loop exits cleanly: exit code 0 material.
-    let served = handle.join().expect("acceptor thread");
-    assert!(served.is_ok(), "{served:?}");
+        // The accept loop exits cleanly: exit code 0 material.
+        let drained = served.acceptor.join().expect("acceptor thread");
+        assert!(drained.is_ok(), "{role:?}: {drained:?}");
 
-    // The listener is gone; new connections are refused.
-    assert!(
-        WireClient::connect(addr).is_err() || {
-            // A connect may still succeed if the OS hands us a queued
-            // backlog slot, but no one will ever answer.
-            let mut c = WireClient::builder()
-                .timeouts(Some(Duration::from_millis(200)), None)
-                .connect(addr)
-                .expect("backlog connect");
-            c.call("epoch").is_err()
-        }
-    );
+        // The listener is gone; new connections are refused.
+        assert!(
+            WireClient::connect(addr).is_err() || {
+                // A connect may still succeed if the OS hands us a queued
+                // backlog slot, but no one will ever answer.
+                let mut c = WireClient::builder()
+                    .timeouts(Some(Duration::from_millis(200)), None)
+                    .connect(addr)
+                    .expect("backlog connect");
+                c.call("epoch").is_err()
+            },
+            "{role:?}"
+        );
+    }
+}
+
+#[test]
+fn drain_waits_for_an_in_flight_frame() {
+    for role in ROLES {
+        let served = Served::start(
+            role,
+            ServerConfig {
+                drain_grace: Duration::from_secs(10),
+                ..ServerConfig::default()
+            },
+        );
+        let addr = served.addr;
+        let stall = served.stall_writes();
+        let (sent, wait_sent) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let mut c = WireClient::connect(addr).expect("connect");
+            c.send_raw(b"addsig (()())").expect("send write");
+            sent.send(()).expect("test thread waits");
+            c.read_reply()
+        });
+        // The listener accepts in connect order, so the writer is admitted
+        // before the `shutdown` connection, and a connection always reads
+        // its first frame: the write is in flight, behind the stalled lock.
+        wait_sent.recv().expect("write sent");
+        let reply = served.client().call("shutdown").expect("shutdown reply");
+        assert!(reply.starts_with("ok draining"), "{role:?}: {reply}");
+        // Give a drain that ignored the in-flight frame time to return.
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(
+            !served.acceptor.is_finished(),
+            "{role:?}: serve_tcp returned under an in-flight frame"
+        );
+
+        drop(stall);
+        let answered = writer.join().expect("writer thread");
+        let answered = answered.expect("the in-flight frame is answered");
+        assert!(answered.starts_with("ok id="), "{role:?}: {answered}");
+        let drained = served.acceptor.join().expect("acceptor thread");
+        assert!(drained.is_ok(), "{role:?}: {drained:?}");
+    }
 }
 
 #[test]
@@ -499,14 +698,83 @@ fn deprecated_client_setters_still_work() {
 
 #[test]
 fn stats_reports_serving_counters_and_durability() {
-    let (addr, _server) = start_server();
-    let mut client = WireClient::connect(addr).expect("connect");
-    let stats = client.call("stats").expect("stats");
-    assert!(stats.contains("server: accepted"), "{stats}");
+    for role in ROLES {
+        let served = Served::start(role, ServerConfig::default());
+        let mut client = served.client();
+        let stats = client.call("stats").expect("stats");
+        assert!(stats.contains(served.stats_marker()), "{role:?}: {stats}");
+        assert!(
+            stats.contains(
+                "server: accepted 1, active 1, timeouts 0, overloaded 0, panics isolated 0"
+            ),
+            "{role:?}: {stats}"
+        );
+        let ckpt = client.call("checkpoint").expect("checkpoint");
+        match role {
+            Role::Shard => {
+                assert!(
+                    stats.contains("durability: none (in-memory only)"),
+                    "{stats}"
+                );
+                assert!(ckpt.contains("ephemeral"), "{ckpt}");
+            }
+            Role::Router => assert!(
+                ckpt.contains("checkpoint forwarded to 3 shard replica(s)"),
+                "{ckpt}"
+            ),
+        }
+    }
+}
+
+#[test]
+fn router_front_end_speaks_the_same_wire_protocol() {
+    let served = Served::start(Role::Router, ServerConfig::default());
+    let monolith = NedServer::new(test_index(), 1, 1);
+    let mut client = served.client();
+    let shape = ned_tree::serialize::print(NodeSignature::extract(&test_graph(), 9, 2).tree());
+
+    // Typed round trip through the real socket.
+    let sig = Request::Sig {
+        shape: shape.clone(),
+        top: 8,
+        within: None,
+    };
+    let resp = client.request(&sig).expect("front sig");
+    let want = monolith.execute(&sig).expect("monolith sig");
+    match (resp, want) {
+        (Response::Hits { hits: got, .. }, Response::Hits { hits: want, .. }) => assert_eq!(
+            got.iter()
+                .map(|h| (h.id, h.distance.to_bits()))
+                .collect::<Vec<_>>(),
+            want.iter()
+                .map(|h| (h.id, h.distance.to_bits()))
+                .collect::<Vec<_>>(),
+            "front end == monolith over the wire"
+        ),
+        other => panic!("expected hits, got {other:?}"),
+    }
+
+    // Text-form compatibility: the epoch probe and a write keep the
+    // historical reply grammar intact for old clients.
+    let reply = client.call("epoch").expect("epoch text");
+    assert!(reply.starts_with("ok epoch="), "reply was {reply:?}");
+    let reply = client.call(&format!("addsig {shape}")).expect("addsig");
+    assert!(reply.starts_with("ok id="), "reply was {reply:?}");
+    let reply = client.call("stats").expect("stats");
+    assert!(reply.contains("router: 3 shard(s)"), "reply was {reply:?}");
+    let reply = client.call("help").expect("help");
+    assert!(reply.contains("scatter-gather"), "reply was {reply:?}");
+    // Batched frames split per command, like the single server.
+    let reply = client
+        .call(&format!("sig {shape} 3\nepoch"))
+        .expect("batch");
+    let parsed = Response::parse_stream(&reply).expect("parse batch");
+    assert_eq!(parsed.len(), 2, "two replies for two commands");
+    let reply = client.call("save /tmp/nope.idx").expect("save");
     assert!(
-        stats.contains("durability: none (in-memory only)"),
-        "{stats}"
+        reply.starts_with("error: ") && reply.contains("no index"),
+        "reply was {reply:?}"
     );
-    let ckpt = client.call("checkpoint").expect("checkpoint");
-    assert!(ckpt.contains("ephemeral"), "{ckpt}");
+    let reply = client.call("quit").expect("quit");
+    assert_eq!(reply, "ok bye");
 }

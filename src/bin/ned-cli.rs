@@ -627,19 +627,44 @@ fn parse_fsync(mode: &str) -> Result<ned::core::wal::FsyncPolicy, String> {
     }
 }
 
-/// Long-lived serving mode. Without `--tcp`, a stdin REPL: one command
-/// per line, answers on stdout. With `--tcp ADDR`, a concurrent
+/// Serves `front` until it drains: with `--tcp ADDR` as a concurrent
 /// thread-per-connection server speaking the framed batch protocol
-/// (`ned_core::wire`). Both surfaces are thin clients of the *same*
-/// [`ned::index::NedServer`] dispatch, so a command behaves identically
-/// whether typed interactively or sent over a socket.
+/// (`ned_core::wire`), without it as a stdin REPL (one command per line,
+/// answers on stdout). Both surfaces are the *same* front end, so a
+/// command behaves identically whether typed interactively or sent over
+/// a socket. `what` opens the banner (`serving <idx>`, `routing fleet`).
+fn run_front_end<S: ned::index::Service>(
+    front: &std::sync::Arc<ned::index::FrontEnd<S>>,
+    tcp: Option<String>,
+    what: &str,
+) -> Result<(), String> {
+    match tcp {
+        Some(addr) => {
+            let listener =
+                std::net::TcpListener::bind(&addr).map_err(|e| format!("{addr}: {e}"))?;
+            let local = listener.local_addr().map_err(|e| e.to_string())?;
+            println!("{what} on tcp://{local}");
+            println!("{}", front.stats_line());
+            front.serve_tcp(listener).map_err(|e| e.to_string())
+        }
+        None => {
+            println!("{what}; type `help` for commands");
+            println!("{}", front.stats_line());
+            front
+                .serve_lines(std::io::stdin().lock(), std::io::stdout().lock())
+                .map_err(|e| e.to_string())
+        }
+    }
+}
+
+/// Long-lived serving mode over one index: a shard behind the front end
+/// of [`run_front_end`].
 ///
 /// With `--wal PATH` the index is served **durably**: boot replays the
 /// log over the newest checkpoint (truncating any torn tail), every
 /// write batch is journaled before it is acknowledged, and a checkpoint
 /// runs every `--checkpoint-every` batches plus once at clean shutdown.
 fn cmd_serve(raw: &[String]) -> Result<(), String> {
-    use std::io::BufRead;
     let args = Args::parse(raw, &[])?;
     let idx_path = args.positional(0, "index path")?;
     let tcp: Option<String> = args.opt("tcp")?;
@@ -670,9 +695,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     if let Some(mode) = args.opt::<String>("sketch")? {
         durable.writer().set_sketch_mode(mode.parse()?);
     }
-    let server = std::sync::Arc::new(
-        ned::index::NedServer::with_durability(durable, threads, pool).with_config(config),
-    );
+    let server = ned::index::NedServer::with_durability(durable, threads, pool);
     if let Some(graph_path) = graph {
         // Pre-track the mutating graph so addedge/deledge work without a
         // per-session `track` command.
@@ -680,38 +703,8 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         let line = server.track(&g).map_err(|e| format!("{graph_path}: {e}"))?;
         println!("{line}");
     }
-    match tcp {
-        Some(addr) => {
-            let listener =
-                std::net::TcpListener::bind(&addr).map_err(|e| format!("{addr}: {e}"))?;
-            let local = listener.local_addr().map_err(|e| e.to_string())?;
-            println!("serving {idx_path} on tcp://{local}");
-            println!("{}", server.stats_line());
-            server.serve_tcp(listener).map_err(|e| e.to_string())
-        }
-        None => {
-            println!("serving {idx_path}; type `help` for commands");
-            println!("{}", server.stats_line());
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                let (reply, quit) = server.handle_payload(&line);
-                if !reply.is_empty() {
-                    println!("{reply}");
-                }
-                if quit {
-                    break;
-                }
-            }
-            // A clean REPL exit checkpoints too, so the next boot never
-            // needs log replay.
-            if let Some(epoch) = server.finalize().map_err(|e| e.to_string())? {
-                println!("checkpointed at epoch {epoch}");
-            }
-            println!("bye");
-            Ok(())
-        }
-    }
+    let front = std::sync::Arc::new(ned::index::FrontEnd::new(server, config));
+    run_front_end(&front, tcp, &format!("serving {idx_path}"))
 }
 
 /// Scatter-gather coordinator over a shard fleet. Two modes:
@@ -731,7 +724,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
 /// single `serve` process, answers bit-identically to the unsplit
 /// index, and fails over reads (retrying writes) when replicas die.
 fn cmd_route(raw: &[String]) -> Result<(), String> {
-    use std::io::BufRead;
     let args = Args::parse(raw, &[])?;
     let tcp: Option<String> = args.opt("tcp")?;
     let mut opts = ned::index::RouterOptions {
@@ -815,38 +807,15 @@ fn cmd_route(raw: &[String]) -> Result<(), String> {
             ned::index::ShardRouter::connect(map, groups, opts).map_err(|e| e.to_string())?
         }
     };
-    let server = std::sync::Arc::new(ned::index::RouterServer::new(router));
-    let result = match tcp {
-        Some(addr) => {
-            let listener =
-                std::net::TcpListener::bind(&addr).map_err(|e| format!("{addr}: {e}"))?;
-            let local = listener.local_addr().map_err(|e| e.to_string())?;
-            println!("routing fleet on tcp://{local}");
-            println!("{}", server.router().stats_line());
-            server.serve_tcp(listener).map_err(|e| e.to_string())
-        }
-        None => {
-            println!("routing fleet; type `help` for commands");
-            println!("{}", server.router().stats_line());
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                let (reply, quit) = server.handle_payload(&line);
-                if !reply.is_empty() {
-                    println!("{reply}");
-                }
-                if quit {
-                    break;
-                }
-            }
-            println!("bye");
-            Ok(())
-        }
-    };
+    let front = std::sync::Arc::new(ned::index::FrontEnd::new(
+        ned::index::RouterServer::new(router),
+        ned::index::ServerConfig::default(),
+    ));
+    let result = run_front_end(&front, tcp, "routing fleet");
     if !fleet.is_empty() {
-        // We spawned these shards, so drain them with the router rather
-        // than orphaning children (attached fleets are left serving).
-        let acked = server.router().shutdown_fleet();
+        // We spawned these shards, so drain them once the router has
+        // drained (attached fleets are left serving).
+        let acked = front.service().router().shutdown_fleet();
         for shard in &mut fleet {
             let _ = shard.wait_or_kill(std::time::Duration::from_secs(5));
         }
