@@ -345,7 +345,6 @@ fn cmd_smoke(raw: &[String]) -> Result<(), String> {
     let local =
         SignatureIndex::load(Path::new(index_path)).map_err(|e| format!("{index_path}: {e}"))?;
     let shapes: Vec<String> = local
-        .forest()
         .entries()
         .enumerate()
         .filter(|(i, _)| i % (local.len() / 24).max(1) == 0)
@@ -360,7 +359,6 @@ fn cmd_smoke(raw: &[String]) -> Result<(), String> {
     // is what makes the within-frame write-visibility check below real
     // rather than satisfied by a pre-existing duplicate.
     let novel_base = local
-        .forest()
         .entries()
         .map(|(_, sig)| sig.tree().max_width())
         .max()
@@ -640,7 +638,6 @@ fn cmd_chaos(raw: &[String]) -> Result<(), String> {
     let local =
         SignatureIndex::load(Path::new(index_path)).map_err(|e| format!("{index_path}: {e}"))?;
     let shapes: Vec<String> = local
-        .forest()
         .entries()
         .enumerate()
         .filter(|(i, _)| i % (local.len() / 16).max(1) == 0)
@@ -766,7 +763,7 @@ fn cmd_chaos(raw: &[String]) -> Result<(), String> {
 /// with a single-threaded linear scan over the index file.
 fn linear_spot_check(client: &mut WireClient, local: &SignatureIndex) -> Result<usize, String> {
     let mut checked = 0usize;
-    for (i, (_, sig)) in local.forest().entries().enumerate() {
+    for (i, (_, sig)) in local.entries().enumerate() {
         if i % (local.len() / 12).max(1) != 0 {
             continue;
         }
@@ -987,7 +984,6 @@ fn cmd_crash(raw: &[String]) -> Result<(), String> {
         SignatureIndex::load(Path::new(&index_path)).map_err(|e| format!("{index_path}: {e}"))?;
     let base_len = local.len() as u64;
     let mut next_width = local
-        .forest()
         .entries()
         .map(|(_, sig)| sig.tree().max_width())
         .max()
@@ -1230,7 +1226,6 @@ fn cmd_fleet(raw: &[String]) -> Result<(), String> {
     let k = local.k();
     let next_id = local.next_id();
     let shapes: Vec<String> = local
-        .forest()
         .entries()
         .enumerate()
         .filter(|(i, _)| i % (local.len() / 16).max(1) == 0)
@@ -1242,7 +1237,6 @@ fn cmd_fleet(raw: &[String]) -> Result<(), String> {
     // Star widths past anything indexed: churn inserts can never collide
     // with historical shapes, keeping freshness/visibility unambiguous.
     let mut next_width = local
-        .forest()
         .entries()
         .map(|(_, sig)| sig.tree().max_width())
         .max()

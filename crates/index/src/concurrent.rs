@@ -5,20 +5,19 @@
 //!
 //! * [`IndexReader`] (cheaply cloneable, one per serving thread) answers
 //!   knn/range queries against an immutable **snapshot** — an
-//!   `Arc<SignatureIndex>` whose forest internals are themselves
-//!   `Arc`-shared (see [`crate::forest`]'s *Cloning is snapshotting*).
-//!   Grabbing the snapshot is a read-lock held for one `Arc` clone
-//!   (nanoseconds, never across a distance computation), after which the
-//!   query runs entirely on private immutable data: readers never block
-//!   each other, never block the writer, and reuse the full PR 3 machinery
-//!   — interned-class lower bounds, the budgeted early-abandoning TED\*
+//!   `Arc<SignatureIndex>` whose sketch bank shares its lane chunks by
+//!   `Arc` (see [`crate::sketch::SketchBank`]). Grabbing the snapshot is
+//!   a read-lock held for one `Arc` clone (nanoseconds, never across a
+//!   distance computation), after which the query runs entirely on
+//!   private immutable data: readers never block each other, never block
+//!   the writer, and reuse the full query machinery — the sketch cut,
+//!   interned-class lower bounds, the budgeted early-abandoning TED\*
 //!   kernel, and the shared pruning radius — unchanged.
 //! * [`IndexWriter`] (exactly one; not `Clone`) applies
 //!   insert/remove/replace **batches** to its private master copy and
-//!   then *publishes* the new state atomically: one cheap
-//!   [`SignatureIndex::clone`] (reference bumps plus copy-on-write
-//!   bookkeeping) swapped in under a momentary write lock, bumping the
-//!   epoch.
+//!   then *publishes* the new state atomically: one
+//!   [`SignatureIndex::clone`] swapped in under a momentary write lock,
+//!   bumping the epoch.
 //!
 //! # Why snapshot publication is write-side-only
 //!
@@ -40,20 +39,19 @@
 //!   snapshot frees it on drop; no epoch-based reclamation, hazard
 //!   pointers, or quiescence tracking. The price — a brief spike while an
 //!   old snapshot lingers — is bounded by the slowest in-flight query.
-//! * **Compaction stays off the read path.** Merges and compactions run
-//!   on the writer's private master copy; readers keep answering from
-//!   their snapshots while a compaction is in flight and only ever see
-//!   its *result*, published like any other batch. A compaction can delay
-//!   the next write batch, never a read.
+//! * **Upkeep stays off the read path.** Every mutation runs on the
+//!   writer's private master copy; readers keep answering from their
+//!   snapshots and only ever see a batch's *result*, published whole.
+//!   Upkeep can delay the next write batch, never a read.
 //!
 //! # What a write batch actually costs
 //!
-//! Publication itself is `O(shards)` reference bumps, but sharing the
-//! copy-on-write internals with the snapshot re-arms them: the *first*
-//! mutation of the next batch pays one copy of the live-id bookkeeping
-//! map (shallow, `O(live ids)`) and of the mutable buffer (deep, up to
-//! `threshold` signatures) — never of the frozen shards, which hold the
-//! bulk of the data. That cost is per **batch**, not per operation, so a
+//! Publication clones the bank. Its lane chunks are shared by pointer,
+//! but its row ids, signature handles (`Arc`s) and id → row map are
+//! copied: `O(live ids)`, shallow. Sharing the lane chunks with the
+//! snapshot re-arms their copy-on-write: the *first* write to a chunk in
+//! the next batch copies that one chunk (256 rows), never the whole bank.
+//! That cost is per **batch**, not per operation, so a
 //! writer that applies each op as its own batch (the TCP server's
 //! per-command writes) pays it per op, while a batched writer amortizes
 //! it across the whole batch — batching writes is how throughput scales
@@ -276,7 +274,7 @@ impl IndexWriter {
     /// The batch is **all-or-nothing against the published state**, even
     /// under failure:
     ///
-    /// * a panic inside an op (a poisoned signature, a forest bug) rolls
+    /// * a panic inside an op (a poisoned signature, an upkeep bug) rolls
     ///   the master back to the published snapshot and re-raises — the
     ///   batch never happened, and the writer stays usable if the panic
     ///   is caught downstream (the server isolates it per connection);
@@ -504,7 +502,7 @@ mod tests {
         assert_eq!(
             reader.knn(&probes[0], 5, 1),
             snap.scan(&probes[0], 5),
-            "published snapshot must stay forest-exact"
+            "published snapshot must stay scan-exact"
         );
     }
 

@@ -239,7 +239,7 @@ mod tests {
         assert_eq!(total, index.len());
         for (s, part) in parts.iter().enumerate() {
             assert_eq!(part.k(), index.k());
-            for (id, _) in part.forest().entries() {
+            for (id, _) in part.entries() {
                 assert_eq!(map.owner(id), s, "entry {id} lives on its owning shard");
             }
         }
@@ -257,7 +257,7 @@ mod tests {
         assert_eq!(parts.iter().map(SignatureIndex::len).sum::<usize>(), 3);
         // Every id still has exactly one owner and lives there.
         for (s, part) in parts.iter().enumerate() {
-            for (id, _) in part.forest().entries() {
+            for (id, _) in part.entries() {
                 assert_eq!(map.owner(id), s);
             }
         }

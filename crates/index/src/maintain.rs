@@ -124,8 +124,8 @@ impl GraphMaintainer {
 
     /// Checks that `index` really serves this maintainer's graph: every
     /// live node's id must be indexed with a signature of the maintained
-    /// root class (one pass over the index entries). Catches attaching
-    /// the wrong graph file to a server before churn corrupts the index.
+    /// root class (one id lookup per node). Catches attaching the wrong
+    /// graph file to a server before churn corrupts the index.
     pub fn verify_against(&self, index: &SignatureIndex) -> Result<(), String> {
         if index.k() != self.k {
             return Err(format!(
@@ -134,23 +134,21 @@ impl GraphMaintainer {
                 self.k
             ));
         }
-        let by_id: std::collections::HashMap<u64, u32> = index
-            .forest()
-            .entries()
-            .map(|(id, sig)| (id, sig.prepared().root_class()))
-            .collect();
         for v in 0..self.alive.len() {
             if !self.alive[v] {
                 continue;
             }
-            match by_id.get(&self.ids[v]) {
+            match index
+                .get(self.ids[v])
+                .map(|sig| sig.prepared().root_class())
+            {
                 None => {
                     return Err(format!(
                         "node {v} (id {}) is not indexed — wrong graph for this index?",
                         self.ids[v]
                     ))
                 }
-                Some(&class) if class != self.classes[v] => {
+                Some(class) if class != self.classes[v] => {
                     return Err(format!(
                         "node {v} (id {}) is indexed with a different neighborhood shape — \
                          wrong graph for this index?",
@@ -365,11 +363,7 @@ mod tests {
         let (g, mut m, reader, mut writer) = setup(3);
         let before: Vec<_> = {
             let snap = reader.snapshot();
-            let mut e: Vec<_> = snap
-                .forest()
-                .entries()
-                .map(|(id, s)| (id, s.clone()))
-                .collect();
+            let mut e: Vec<_> = snap.entries().map(|(id, s)| (id, s.clone())).collect();
             e.sort_by_key(|&(id, _)| id);
             e
         };
@@ -385,11 +379,7 @@ mod tests {
         assert_eq!(r1.replaced, r2.replaced, "flip back replaces the same set");
         let after: Vec<_> = {
             let snap = reader.snapshot();
-            let mut e: Vec<_> = snap
-                .forest()
-                .entries()
-                .map(|(id, s)| (id, s.clone()))
-                .collect();
+            let mut e: Vec<_> = snap.entries().map(|(id, s)| (id, s.clone())).collect();
             e.sort_by_key(|&(id, _)| id);
             e
         };

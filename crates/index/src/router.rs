@@ -1224,7 +1224,7 @@ impl std::fmt::Debug for ShardRouter {
 }
 
 /// A bounded `(distance, id)` merge: keeps the `cap` globally smallest
-/// hits, exactly the order [`crate::forest::ShardedVpForest`] sorts by —
+/// hits, exactly the order every shard's query sorts by —
 /// max-heap rooted at the current worst kept hit, so the eviction bound
 /// is O(1) to read and tightens the shared scatter budget.
 struct BoundedMerge {

@@ -148,8 +148,9 @@ pub struct NedServer {
     /// application — writes are serialized anyway, and readers never
     /// touch it.
     maintained: Mutex<Option<GraphMaintainer>>,
-    /// Intra-query fan-out passed to the forest (`1` is right for
-    /// concurrent serving: requests, not shards, should fill the cores).
+    /// Intra-query fan-out passed to the bank scan (`1` is right for
+    /// concurrent serving: requests, not scan chunks, should fill the
+    /// cores).
     query_threads: usize,
     /// Size of the front end's batch pool ([`Service::pool_threads`]).
     pool_threads: usize,
@@ -667,19 +668,15 @@ impl Service for NedServer {
     /// effectiveness counters, and the durability configuration.
     fn stats_body(&self) -> String {
         let (snap, epoch) = self.reader().snapshot_with_epoch();
-        let stats = snap.stats();
         let tracking = match lock(&self.maintained).as_ref() {
             Some(m) => format!("{} nodes / {} edges", m.num_nodes(), m.num_edges()),
             None => "none".to_string(),
         };
         format!(
-            "signatures: {} (k = {}), buffer {}, shards {:?}, tombstones {}, epoch {epoch}, \
-             tracking {tracking}\nsketch: mode {}, {}\nmemo: {}\n{}, checkpoint failures {}",
-            stats.len,
+            "signatures: {} (k = {}), epoch {epoch}, tracking {tracking}\nsketch: mode {}, {}\n\
+             memo: {}\n{}, checkpoint failures {}",
+            snap.len(),
             snap.k(),
-            stats.buffer,
-            stats.shard_sizes,
-            stats.tombstones,
             snap.sketch_mode(),
             snap.sketch_stats(),
             TedMemo::global().stats(),
@@ -704,7 +701,7 @@ fn parse_sig(shape: &str) -> Result<NodeSignature, ServerError> {
     Ok(NodeSignature::from_prepared(0, PreparedTree::new(&tree)))
 }
 
-/// Renders forest hits into the epoch-tagged wire response.
+/// Renders query hits into the epoch-tagged wire response.
 fn hits_response(epoch: u64, hits: &[ForestHit]) -> Response {
     Response::Hits {
         epoch,

@@ -1,31 +1,34 @@
-//! NED wiring for the sharded forest: a **persistent node-signature
-//! index**.
+//! A **persistent node-signature index** under the NED metric.
 //!
-//! [`SignatureIndex`] owns a [`ShardedVpForest`] of
-//! [`NodeSignature`]s under the NED metric, assigns stable `u64` ids as
-//! signatures arrive (possibly from many graphs), and serializes to the
-//! `ned-core::store` snapshot codec wrapped in its own framed, versioned,
-//! checksummed file — an index built once survives process restarts and
-//! answers queries immediately after [`SignatureIndex::load`], with no
-//! re-extraction and no re-preparation.
+//! [`SignatureIndex`] stores [`NodeSignature`]s in one [`SketchBank`]:
+//! the bank's rows (id, signature, 72-lane sketch) are both the live set
+//! and the only candidate generator. The index assigns stable `u64` ids
+//! as signatures arrive (possibly from many graphs) and serializes to
+//! the `ned-core::store` snapshot codec wrapped in its own framed,
+//! versioned, checksummed file — an index built once survives process
+//! restarts and answers queries immediately after
+//! [`SignatureIndex::load`], with no re-extraction, no re-preparation
+//! and no distance computations at load time.
 //!
-//! Queries go through [`SignatureMetric`]: exact distances are TED\* on
-//! prepared signatures, and the filter step is the interned-class lower
-//! bound ([`NodeSignature::distance_lower_bound`]), evaluated before
-//! every exact call both in the forest's buffer scan and inside each
-//! VP shard. The bound is a branch-light merge over the sorted
-//! class-histogram runs each [`ned_core::PreparedTree`] precomputes, so
-//! filtering a candidate costs a fraction of a microsecond — cheap
-//! enough to run unconditionally ahead of every exact distance.
+//! [`SignatureIndex::query`] / [`SignatureIndex::range`] scan the bank's
+//! sketch rows ([`crate::sketch`]) and refine survivors through
+//! [`SignatureMetric`]: exact distances are TED\* on prepared signatures,
+//! behind the interned-class lower bound
+//! ([`NodeSignature::distance_lower_bound`]) and the budgeted
+//! early-abandoning kernel, all under one shared pruning radius. The
+//! serving [`SketchMode`] picks the cut: `Exact` (the default) prunes by
+//! the provable sketch bound, `Off` refines every live row (the exact
+//! linear baseline), `Approx` prunes by the sketch estimate.
+//! [`SignatureIndex::scan`] is the oracle: full distances to every live
+//! row, no bounds at all.
 //!
-//! In front of both sits the **sketch tier** ([`crate::sketch`]): a flat
-//! bank of quantized per-level feature vectors maintained alongside the
-//! forest and consulted first by [`SignatureIndex::query`] /
-//! [`SignatureIndex::range`] (routing controlled by [`SketchMode`]).
 //! Version-3 index files persist the bank next to the signature
-//! snapshot; older files load fine and rebuild it on the way in.
+//! snapshot; older files load fine and rebuild it on the way in. The
+//! header still carries the `threshold` and `seed` of the generic
+//! [`ShardedVpForest`]; they only shape the [`SignatureIndex::forest`]
+//! compatibility view, which serving never builds.
 
-use crate::forest::{ForestHit, ForestStats, ShardedVpForest};
+use crate::forest::{sort_hits, ForestHit, ShardedVpForest};
 use crate::sketch::{self, SketchBank, SketchMode, SketchStats};
 use crate::{BoundedMetric, Metric};
 use ned_core::store::{self, CodecError, Reader, Writer};
@@ -33,12 +36,13 @@ use ned_core::NodeSignature;
 use ned_graph::{Graph, NodeId};
 use std::io::{Read as _, Write as _};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// NED over node signatures as a [`BoundedMetric`]: exact distances are
 /// `TED*` (a true metric, hence VP-tree-safe), the lower bound is the
 /// interned-class histogram bound, and budgeted calls run the
 /// early-abandoning kernel (`ned_core::ted_star_prepared_within`) — so
-/// the forest's pruning radius cuts computations short *inside* the
+/// a query's pruning radius cuts computations short *inside* the
 /// level sweep, not just between candidates. `u64` distances are exact
 /// in `f64` far beyond any real tree size (`< 2^53`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -107,8 +111,11 @@ pub const INDEX_VERSION_SKETCH: u32 = 3;
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SignatureIndex {
-    forest: ShardedVpForest<NodeSignature>,
+    /// The live set and the candidate generator.
     bank: SketchBank,
+    /// [`SignatureIndex::forest`]'s lazily built view of the bank's rows;
+    /// reset by every mutation.
+    forest_view: OnceLock<ShardedVpForest<NodeSignature>>,
     sketch_mode: SketchMode,
     k: usize,
     threshold: usize,
@@ -118,12 +125,13 @@ pub struct SignatureIndex {
 
 impl SignatureIndex {
     /// An empty index for signatures extracted at parameter `k`.
-    /// `threshold` is the forest's buffer-freeze size; `seed` pins shard
-    /// construction.
+    /// `threshold` (the forest's buffer-freeze size) and `seed` (its shard
+    /// construction seed) are persisted in the file header and shape only
+    /// the [`SignatureIndex::forest`] compatibility view.
     pub fn new(k: usize, threshold: usize, seed: u64) -> Self {
         SignatureIndex {
-            forest: ShardedVpForest::new(threshold, seed),
             bank: SketchBank::new(),
+            forest_view: OnceLock::new(),
             sketch_mode: SketchMode::default(),
             k,
             threshold: threshold.max(1),
@@ -133,10 +141,10 @@ impl SignatureIndex {
     }
 
     /// Bulk constructor over pre-extracted signatures, assigned ids
-    /// `0..n` in order — a balanced one-shot shard build (one shard per
-    /// available core) instead of `n` incremental inserts. Query results
-    /// are identical; the load-generation and benchmark harnesses use
-    /// this to stand up large indexes cheaply.
+    /// `0..n` in order — one parallel sketch pass instead of `n`
+    /// incremental inserts. Query results are identical; the
+    /// load-generation and benchmark harnesses use this to stand up large
+    /// indexes cheaply.
     pub fn from_signatures(
         k: usize,
         threshold: usize,
@@ -153,10 +161,8 @@ impl SignatureIndex {
 
     /// Bulk-builds the whole index for every node of `graph` through the
     /// shared-work extraction pipeline ([`ned_core::bulk_signatures`]) and
-    /// a balanced one-shot shard build — the fast path behind
-    /// `ned-cli index build`. `threads` bounds the extraction fan-out
-    /// (`0` = all cores); the balanced shard VP-trees always build
-    /// concurrently on the batch pool.
+    /// a bulk sketch pass — the fast path behind `ned-cli index build`.
+    /// `threads` bounds the extraction fan-out (`0` = all cores).
     pub fn from_graph(
         graph: &Graph,
         k: usize,
@@ -180,18 +186,9 @@ impl SignatureIndex {
             .map(|&(id, _)| id.saturating_add(1))
             .max()
             .unwrap_or(0);
-        let shards = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let bank = SketchBank::bulk(&entries, 0);
-        let forest = ShardedVpForest::from_entries_balanced(
-            threshold,
-            seed,
-            entries,
-            &SignatureMetric,
-            shards,
-        );
         SignatureIndex {
-            forest,
-            bank,
+            bank: SketchBank::bulk(&entries, 0),
+            forest_view: OnceLock::new(),
             sketch_mode: SketchMode::default(),
             k,
             threshold: threshold.max(1),
@@ -207,22 +204,41 @@ impl SignatureIndex {
 
     /// Live signature count.
     pub fn len(&self) -> usize {
-        self.forest.len()
+        self.bank.len()
     }
 
     /// `true` when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.forest.is_empty()
+        self.bank.is_empty()
     }
 
-    /// Forest shape (shard sizes, buffer fill, tombstones).
-    pub fn stats(&self) -> ForestStats {
-        self.forest.stats()
+    /// Live `(id, signature)` entries in bank row order (arbitrary but
+    /// deterministic; sort by id for a canonical order).
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &NodeSignature)> {
+        self.bank.entries()
     }
 
-    /// The underlying forest (read-only).
+    /// A [`ShardedVpForest`] over the live entries — a compatibility view
+    /// for callers of the generic forest API, not part of serving: no
+    /// query path reads it, and build, load, publication and fleet
+    /// splits never build it. The first call after a mutation bulk-builds
+    /// it from the id-sorted entries with this index's `threshold` and
+    /// `seed` (one TED\* call per VP partition step, so `O(n log n)`
+    /// distances); later calls reuse it until the next mutation.
     pub fn forest(&self) -> &ShardedVpForest<NodeSignature> {
-        &self.forest
+        self.forest_view.get_or_init(|| {
+            let mut entries: Vec<(u64, NodeSignature)> =
+                self.entries().map(|(id, sig)| (id, sig.clone())).collect();
+            entries.sort_unstable_by_key(|&(id, _)| id);
+            let shards = std::thread::available_parallelism().map_or(1, |c| c.get());
+            ShardedVpForest::from_entries_balanced(
+                self.threshold,
+                self.seed,
+                entries,
+                &SignatureMetric,
+                shards,
+            )
+        })
     }
 
     /// The id watermark: the id the next [`SignatureIndex::insert`] will
@@ -262,7 +278,6 @@ impl SignatureIndex {
     /// silent divergence ([`ned_core::Request::Fingerprint`]).
     pub fn live_set_fingerprint(&self) -> u64 {
         let mut pairs: Vec<(u64, u64)> = self
-            .forest
             .entries()
             .map(|(id, sig)| (id, sketch::stable_tree_fingerprint(sig.tree())))
             .collect();
@@ -289,12 +304,9 @@ impl SignatureIndex {
     /// Panics if `shards == 0`.
     pub fn split_for_fleet(&self, shards: usize) -> (Vec<u64>, Vec<SignatureIndex>) {
         assert!(shards > 0, "a fleet needs at least one shard");
-        let mut entries: Vec<(u64, NodeSignature)> = self
-            .forest
-            .entries()
-            .map(|(id, sig)| (id, sig.clone()))
-            .collect();
-        entries.sort_by_key(|&(id, _)| id);
+        let mut entries: Vec<(u64, NodeSignature)> =
+            self.entries().map(|(id, sig)| (id, sig.clone())).collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
         let per = entries.len() / shards;
         let extra = entries.len() % shards;
         let mut starts = Vec::with_capacity(shards);
@@ -327,7 +339,7 @@ impl SignatureIndex {
         let id = self.next_id;
         self.next_id += 1;
         self.bank.upsert(id, &sig);
-        self.forest.insert(&SignatureMetric, id, sig);
+        self.forest_view.take();
         id
     }
 
@@ -373,38 +385,34 @@ impl SignatureIndex {
     /// auto-assigning entry point.
     pub fn insert_at(&mut self, id: u64, sig: NodeSignature) -> bool {
         self.next_id = self.next_id.max(id.saturating_add(1));
+        let fresh = self.bank.get(id).is_none();
         self.bank.upsert(id, &sig);
-        self.forest.insert(&SignatureMetric, id, sig)
+        self.forest_view.take();
+        fresh
     }
 
     /// Removes a signature by id. Returns `false` for unknown ids.
     pub fn remove(&mut self, id: u64) -> bool {
-        self.bank.remove(id);
-        self.forest.remove(&SignatureMetric, id)
+        self.forest_view.take();
+        self.bank.remove(id)
     }
 
-    /// The signature stored under `id`, if live (`O(n)` — a diagnostic
-    /// accessor, not a query path).
+    /// The signature stored under `id`, if live (`O(1)`: one lookup in
+    /// the bank's id → row map).
     pub fn get(&self, id: u64) -> Option<&NodeSignature> {
-        self.forest
-            .entries()
-            .find(|&(eid, _)| eid == id)
-            .map(|(_, sig)| sig)
+        self.bank.get(id)
     }
 
     /// The `top` nearest indexed signatures, sorted by `(distance, id)`.
     /// `threads = 0` uses all cores.
     ///
-    /// Routing follows the serving [`SketchMode`]: `Off` takes the
-    /// sharded VP-forest path, `Exact` (the default) pre-filters through
-    /// the sketch bank's provable lower bound — results stay
-    /// bit-identical to the forest — and `Approx` filters by the sketch
+    /// The sketch cut follows the serving [`SketchMode`]: `Exact` (the
+    /// default) skips rows whose provable sketch bound exceeds the current
+    /// radius — results stay bit-identical to [`SignatureIndex::scan`] —
+    /// `Off` refines every live row, and `Approx` cuts by the sketch
     /// estimate (faster, measured rather than guaranteed recall).
     pub fn query(&self, sig: &NodeSignature, top: usize, threads: usize) -> Vec<ForestHit> {
-        match self.sketch_mode {
-            SketchMode::Off => self.forest.knn(&SignatureMetric, sig, top, threads),
-            mode => self.bank.knn(sig, top, threads, mode),
-        }
+        self.bank.knn(sig, top, threads, self.sketch_mode)
     }
 
     /// [`SignatureIndex::query`] for a node of a graph (extracts the
@@ -423,19 +431,25 @@ impl SignatureIndex {
     /// Every indexed signature within `radius` of `sig`, routed through
     /// the sketch tier exactly like [`SignatureIndex::query`].
     pub fn range(&self, sig: &NodeSignature, radius: u64, threads: usize) -> Vec<ForestHit> {
-        match self.sketch_mode {
-            SketchMode::Off => self
-                .forest
-                .range(&SignatureMetric, sig, radius as f64, threads),
-            mode => self.bank.range(sig, radius, threads, mode),
-        }
+        self.bank.range(sig, radius, threads, self.sketch_mode)
     }
 
-    /// Full-scan baseline over the same live set — the reference the
-    /// forest's results are defined against, and the benchmark
-    /// comparator.
+    /// Full-scan oracle over the same live set: the exact distance to
+    /// every live signature — no sketch, no lower bound, no budget —
+    /// sorted by `(distance, id)` and cut to `top`. Exact-mode
+    /// [`SignatureIndex::query`] results are defined to match it, and it
+    /// is the benchmark comparator.
     pub fn scan(&self, sig: &NodeSignature, top: usize) -> Vec<ForestHit> {
-        self.forest.scan_knn(&SignatureMetric, sig, top)
+        let mut hits: Vec<ForestHit> = self
+            .entries()
+            .map(|(id, item)| ForestHit {
+                id,
+                distance: SignatureMetric.distance(sig, item),
+            })
+            .collect();
+        sort_hits(&mut hits);
+        hits.truncate(top);
+        hits
     }
 
     /// Serializes the whole index (config + every live signature) into
@@ -454,7 +468,7 @@ impl SignatureIndex {
     }
 
     fn encode(&self, epoch: Option<u64>) -> Vec<u8> {
-        let mut entries: Vec<(u64, &NodeSignature)> = self.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = self.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             self.k,
@@ -467,17 +481,11 @@ impl SignatureIndex {
         let mut bank_block = Vec::with_capacity(12 + entries.len() * sketch::SKETCH_DIM * 2);
         bank_block.extend_from_slice(&(sketch::SKETCH_DIM as u32).to_le_bytes());
         bank_block.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        let mut scratch = [0u16; sketch::SKETCH_DIM];
-        for &(id, sig) in &entries {
-            let lanes = match self.bank.lanes_of(id) {
-                Some(lanes) => lanes,
-                None => {
-                    // The bank mirrors the live set; re-sketching keeps the
-                    // file self-consistent even if it ever drifted.
-                    sketch::sketch_into(sig.prepared(), &mut scratch);
-                    &scratch[..]
-                }
-            };
+        for &(id, _) in &entries {
+            let lanes = self
+                .bank
+                .lanes_of(id)
+                .expect("every live id has a bank row");
             for &lane in lanes {
                 bank_block.extend_from_slice(&lane.to_le_bytes());
             }
@@ -495,9 +503,9 @@ impl SignatureIndex {
         w.finish()
     }
 
-    /// Restores [`SignatureIndex::to_bytes`] output. The forest is
-    /// bulk-rebuilt (same live set, same query results — shard layout may
-    /// differ, which is invisible through the exact query API).
+    /// Restores [`SignatureIndex::to_bytes`] output: the same live set,
+    /// sketch rows and serving mode, hence the same query results. No
+    /// distance is computed on the way in.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         Self::decode_with_epoch(bytes).map(|(index, _)| index)
     }
@@ -554,18 +562,10 @@ impl SignatureIndex {
             // sketch-filtered queries immediately.
             SketchBank::bulk(&entries, 0)
         };
-        let shards = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let forest = ShardedVpForest::from_entries_balanced(
-            threshold,
-            seed,
-            entries,
-            &SignatureMetric,
-            shards,
-        );
         Ok((
             SignatureIndex {
-                forest,
                 bank,
+                forest_view: OnceLock::new(),
                 sketch_mode,
                 k,
                 threshold,
@@ -738,6 +738,36 @@ mod tests {
     }
 
     #[test]
+    fn forest_view_tracks_the_live_set() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let g = generators::barabasi_albert(120, 2, &mut rng);
+        let mut index = SignatureIndex::from_graph(&g, 3, 16, 5, 0);
+        let sorted = |f: &ShardedVpForest<NodeSignature>| {
+            let mut ids: Vec<u64> = f.entries().map(|(id, _)| id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(sorted(index.forest()), (0..120).collect::<Vec<_>>());
+        let q = NodeSignature::extract(&g, 9, 3);
+        assert_eq!(
+            index.forest().knn(&SignatureMetric, &q, 5, 0),
+            index.query(&q, 5, 0)
+        );
+
+        // Every mutation resets the view; the next call sees it.
+        assert!(index.remove(4));
+        let fresh = index.insert(q.clone());
+        assert!(!index.insert_at(0, q.clone()), "id 0 was live");
+        let view = index.forest();
+        assert!(!view.contains(4));
+        assert!(view.contains(fresh));
+        assert_eq!(view.len(), index.len());
+        assert_eq!(view.knn(&SignatureMetric, &q, 5, 0), index.query(&q, 5, 0));
+        // Clones (and so publications) carry the built view along.
+        assert_eq!(sorted(index.clone().forest()), sorted(view));
+    }
+
+    #[test]
     fn save_load_round_trip_preserves_results() {
         let mut rng = SmallRng::seed_from_u64(2);
         let g1 = generators::barabasi_albert(150, 2, &mut rng);
@@ -795,7 +825,7 @@ mod tests {
     /// version 1 also drops the epoch field) so decode back-compat can be
     /// tested against bytes this build no longer writes.
     fn encode_legacy(index: &SignatureIndex, version: u32, epoch: u64) -> Vec<u8> {
-        let mut entries: Vec<(u64, &NodeSignature)> = index.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             index.k,
@@ -829,7 +859,7 @@ mod tests {
         assert_eq!(back.sketch_mode(), SketchMode::Approx);
         assert_eq!(back.sketch_stats().rows, index.len());
         // Persisted rows are bit-identical to the live bank's.
-        for (id, _) in index.forest.entries() {
+        for (id, _) in index.entries() {
             assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
         }
     }
@@ -850,7 +880,7 @@ mod tests {
             // rows, default serving mode, and identical query results.
             assert_eq!(back.sketch_mode(), SketchMode::Exact);
             assert_eq!(back.sketch_stats().rows, index.len());
-            for (id, _) in index.forest.entries() {
+            for (id, _) in index.entries() {
                 assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
             }
             for probe in [0u32, 77, 149] {
@@ -881,7 +911,7 @@ mod tests {
         w.put_u64(index.next_id);
         w.put_u64(0);
         w.put_u32(SketchMode::Exact.to_u32());
-        let mut entries: Vec<(u64, &NodeSignature)> = index.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             index.k,
@@ -916,7 +946,7 @@ mod tests {
         w.put_u64(index.next_id);
         w.put_u64(0);
         w.put_u32(SketchMode::Exact.to_u32());
-        let mut entries: Vec<(u64, &NodeSignature)> = index.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             index.k,
@@ -947,7 +977,7 @@ mod tests {
         w.put_block(&bank);
 
         let (back, _) = SignatureIndex::decode_with_epoch(&w.finish()).expect("decode");
-        for (id, _) in index.forest.entries() {
+        for (id, _) in index.entries() {
             assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
         }
         for probe in [0u32, 61, 119] {

@@ -11,8 +11,7 @@
 //! [`PreparedTree`]s per candidate pair. Survivors are re-ranked by the
 //! budgeted early-abandoning kernel
 //! ([`ned_core::ted_star_prepared_within`] via
-//! [`SignatureMetric::distance_within`]), sharing one pruning radius
-//! exactly like the sharded forest does.
+//! [`SignatureMetric::distance_within`]), sharing one pruning radius.
 //!
 //! # Sketch layout
 //!
@@ -62,8 +61,9 @@
 //! `max(L1(size lanes), max_l ceil(L1(hist lanes of l) / 4))`, which by
 //! the two points above never exceeds NED — so pruning candidates whose
 //! bound exceeds the current radius drops **nothing** the exact scan
-//! would keep. Exact mode is property-tested bit-identical to the
-//! unfiltered forest (`tests/sketch_filter.rs`).
+//! would keep. Exact mode is property-tested bit-identical to a naive
+//! scan of an independent model of the live set
+//! (`tests/sketch_filter.rs`).
 //!
 //! # Approximate mode
 //!
@@ -272,11 +272,12 @@ impl Sketch {
 /// bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SketchMode {
-    /// Bypass the bank: queries take the sharded VP-forest path
-    /// unchanged (the pre-sketch serving configuration).
+    /// No sketch cut: every live row is refined by the budgeted exact
+    /// kernel under the shared radius — the exact linear baseline the
+    /// sketch cut is measured against.
     Off,
-    /// Pre-filter by [`sketch_lower_bound`] — results stay bit-identical
-    /// to the forest (no false drops; the default).
+    /// Cut by [`sketch_lower_bound`] — results stay bit-identical to a
+    /// full scan (no false drops; the default).
     #[default]
     Exact,
     /// Pre-filter by [`sketch_estimate`] — faster, with measured (not
@@ -389,11 +390,11 @@ fn chunk_lanes(flat: &[u16]) -> Vec<Arc<Vec<u16>>> {
         .collect()
 }
 
-/// The SoA sketch bank: one row per live signature, lanes stored in
-/// fixed-size **`Arc`-shared chunks**, scanned linearly at query time
-/// and fed into the shared-radius exact refine. Maintained by
-/// [`crate::SignatureIndex`] on every insert/replace/remove so rows
-/// mirror the live set exactly.
+/// The SoA sketch bank: one row per live signature (id, signature,
+/// lanes), lanes stored in fixed-size **`Arc`-shared chunks**, scanned
+/// linearly at query time and fed into the shared-radius exact refine.
+/// It is [`crate::SignatureIndex`]'s only store: its rows *are* the
+/// index's live set.
 ///
 /// Cloning the bank — which happens on **every publication** (the
 /// concurrent index snapshots the master copy) — shares the lane chunks
@@ -460,7 +461,7 @@ impl SketchBank {
         let mut row_of: HashMap<u64, u32> = HashMap::with_capacity(entries.len());
         for ((id, sig), lanes) in entries.iter().zip(rows) {
             match row_of.get(id) {
-                // Later duplicates win, matching forest replace semantics.
+                // Later duplicates win, matching upsert semantics.
                 Some(&r) => {
                     let r = r as usize;
                     flat[r * SKETCH_DIM..(r + 1) * SKETCH_DIM].copy_from_slice(&lanes);
@@ -573,6 +574,16 @@ impl SketchBank {
         true
     }
 
+    /// Live `(id, signature)` rows in row order.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &NodeSignature)> {
+        self.ids.iter().copied().zip(&self.sigs)
+    }
+
+    /// The signature of `id`'s row, if live.
+    pub fn get(&self, id: u64) -> Option<&NodeSignature> {
+        self.row_of.get(&id).map(|&r| &self.sigs[r as usize])
+    }
+
     /// The lanes of `id`'s row, if live (the codec reads rows in id
     /// order through this).
     pub fn lanes_of(&self, id: u64) -> Option<&[u16]> {
@@ -603,26 +614,35 @@ impl SketchBank {
         &mut Arc::make_mut(&mut self.lanes[c])[off..off + SKETCH_DIM]
     }
 
-    /// All rows' sketch distances to `qs`, computed chunk-parallel on
+    /// Row `r`'s cut bound against the query sketch `qs` under `mode`
+    /// (`0` for [`SketchMode::Off`]: no row is ever cut).
+    #[inline]
+    fn row_bound(&self, qs: &[u16; SKETCH_DIM], r: usize, mode: SketchMode) -> u64 {
+        match mode {
+            SketchMode::Off => 0,
+            SketchMode::Exact => sketch_lower_bound(qs, self.row_lanes(r)),
+            SketchMode::Approx => sketch_estimate(qs, self.row_lanes(r)),
+        }
+    }
+
+    /// All rows' cut bounds against `qs`, computed chunk-parallel on
     /// the shared `par_map` pool, sorted ascending by
     /// `(bound, id)` so the refine stage can stop at the first bound
     /// past its radius.
-    fn scan_bounds(&self, qs: &[u16; SKETCH_DIM], threads: usize, approx: bool) -> Vec<(u64, u32)> {
+    fn scan_bounds(
+        &self,
+        qs: &[u16; SKETCH_DIM],
+        threads: usize,
+        mode: SketchMode,
+    ) -> Vec<(u64, u32)> {
         let n = self.ids.len();
         let chunks = n.div_ceil(SCAN_CHUNK);
         let per_chunk: Vec<Vec<(u64, u32)>> = ned_core::batch::par_map(chunks, threads, |ci| {
             let start = ci * SCAN_CHUNK;
             let end = (start + SCAN_CHUNK).min(n);
-            let mut out = Vec::with_capacity(end - start);
-            for r in start..end {
-                let b = if approx {
-                    sketch_estimate(qs, self.row_lanes(r))
-                } else {
-                    sketch_lower_bound(qs, self.row_lanes(r))
-                };
-                out.push((b, r as u32));
-            }
-            out
+            (start..end)
+                .map(|r| (self.row_bound(qs, r, mode), r as u32))
+                .collect()
         });
         let mut bounds: Vec<(u64, u32)> = per_chunk.into_iter().flatten().collect();
         bounds.sort_unstable_by_key(|&(b, r)| (b, self.ids[r as usize]));
@@ -630,11 +650,11 @@ impl SketchBank {
     }
 
     /// The `k` nearest rows to `query`, sorted by `(distance, id)`.
-    /// In [`SketchMode::Exact`] (or `Off`, treated as exact here) the
-    /// result is bit-identical to a full scan: the scan is ordered by
-    /// the provable bound and stops once the bound alone exceeds the
-    /// current k-th best distance; every exact call runs the budgeted
-    /// kernel with that radius.
+    /// In [`SketchMode::Exact`] and [`SketchMode::Off`] the result is
+    /// bit-identical to a full scan. Exact orders the rows by the
+    /// provable bound and stops once the bound alone exceeds the current
+    /// k-th best distance; Off refines every row, in id order. Every
+    /// exact call runs the budgeted kernel with that radius.
     pub fn knn(
         &self,
         query: &NodeSignature,
@@ -645,10 +665,9 @@ impl SketchBank {
         if k == 0 || self.ids.is_empty() {
             return Vec::new();
         }
-        let approx = mode == SketchMode::Approx;
         let mut qs = [0u16; SKETCH_DIM];
         sketch_cached(query.prepared(), &mut qs);
-        let bounds = self.scan_bounds(&qs, threads, approx);
+        let bounds = self.scan_bounds(&qs, threads, mode);
         let shared = SharedBound::unbounded();
         let mut heap = BoundedHeap::new(k, &shared);
         let mut refined = 0u64;
@@ -686,7 +705,6 @@ impl SketchBank {
         if self.ids.is_empty() {
             return Vec::new();
         }
-        let approx = mode == SketchMode::Approx;
         let mut qs = [0u16; SKETCH_DIM];
         sketch_cached(query.prepared(), &mut qs);
         let n = self.ids.len();
@@ -698,12 +716,7 @@ impl SketchBank {
             let mut out = Vec::new();
             let mut local_refined = 0u64;
             for r in start..end {
-                let b = if approx {
-                    sketch_estimate(&qs, self.row_lanes(r))
-                } else {
-                    sketch_lower_bound(&qs, self.row_lanes(r))
-                };
-                if b > radius {
+                if self.row_bound(&qs, r, mode) > radius {
                     continue;
                 }
                 local_refined += 1;

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 
 fn sorted_ids(index: &SignatureIndex) -> Vec<u64> {
-    let mut ids: Vec<u64> = index.forest().entries().map(|(id, _)| id).collect();
+    let mut ids: Vec<u64> = index.entries().map(|(id, _)| id).collect();
     ids.sort_unstable();
     ids
 }

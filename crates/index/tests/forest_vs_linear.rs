@@ -1,8 +1,9 @@
 //! Cross-engine property tests: the sharded forest must return **exactly**
 //! the hits of a linear scan over the same live signature set — same ids,
 //! same distances — through arbitrary interleavings of inserts and
-//! removes, in serial and parallel query modes, and across a save/load
-//! round trip.
+//! removes, in serial and parallel query modes; and a [`SignatureIndex`]
+//! must answer like a model of its live set across a save/load round
+//! trip.
 //!
 //! Since the budget-aware kernel landed, every forest query here also
 //! exercises the bounded path: [`SignatureMetric`] overrides
@@ -16,13 +17,13 @@
 use ned_core::{signatures, ted_star_prepared_report, NodeSignature, TedStarConfig};
 use ned_graph::generators;
 use ned_index::{
-    BoundedMetric, ForestHit, Metric, ShardedVpForest, SignatureIndex, SignatureMetric,
+    BoundedMetric, ForestHit, Metric, ShardedVpForest, SignatureIndex, SignatureMetric, SketchMode,
     UnboundedSignatureMetric,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Exact NED computed through the classic Algorithm 1 engine — a code
 /// path that shares neither the bounded kernel, the scratch arena, nor
@@ -34,13 +35,13 @@ fn classic_distance(a: &NodeSignature, b: &NodeSignature) -> f64 {
 
 /// Reference result computed from first principles: classic-engine NED
 /// to every live `(id, signature)` pair, sorted by `(distance, id)`.
-fn reference_knn(
-    live: &HashMap<u64, NodeSignature>,
+fn reference_knn<'a>(
+    live: impl IntoIterator<Item = (&'a u64, &'a NodeSignature)>,
     q: &NodeSignature,
     k: usize,
 ) -> Vec<ForestHit> {
     let mut hits: Vec<ForestHit> = live
-        .iter()
+        .into_iter()
         .map(|(&id, sig)| ForestHit {
             id,
             distance: classic_distance(q, sig),
@@ -156,16 +157,25 @@ proptest! {
         let nodes: Vec<u32> = g.nodes().collect();
         let mut index = SignatureIndex::new(3, threshold, seed);
         index.insert_graph(&g, &nodes);
+        // An independent model of the live set: the query paths and the
+        // scan all read the index's own rows, so only a separate record
+        // can catch a row lost or duplicated on the way through the file.
+        let mut model: BTreeMap<u64, NodeSignature> =
+            (0u64..).zip(signatures(&g, &nodes, 3)).collect();
         for _ in 0..removals {
-            index.remove(rng.gen_range(0..120u64));
+            let id = rng.gen_range(0..120u64);
+            prop_assert_eq!(index.remove(id), model.remove(&id).is_some());
         }
         let bytes = index.to_bytes();
         let back = SignatureIndex::from_bytes(&bytes).expect("round trip");
         prop_assert_eq!(back.len(), index.len());
+        prop_assert_eq!(back.len(), model.len());
 
         // Queries after the round trip are bit-identical to before — and
-        // both are the linear scan's answer.
+        // both are the linear scan's answer, and the model's.
         let probes = signatures(&g, &[0, 13, 77, 119], 3);
+        let mut back_off = back.clone();
+        back_off.set_sketch_mode(SketchMode::Off);
         for q in &probes {
             let k = rng.gen_range(1..12usize);
             let before = index.query(q, k, 0);
@@ -173,18 +183,26 @@ proptest! {
             let scan = index.scan(q, k);
             prop_assert_eq!(&before, &scan);
             prop_assert_eq!(&after, &scan);
+            let want = reference_knn(&model, q, k);
+            prop_assert_eq!(&before, &want);
+            prop_assert_eq!(&after, &want);
+            prop_assert_eq!(&back.scan(q, k), &want);
+            prop_assert_eq!(&back_off.query(q, k, 0), &want);
         }
 
         // ... and the restored index stays exact under further churn.
         let mut back = back;
         let mut extra = signatures(&g, &[5, 6, 7], 3).into_iter();
-        let new_id = back.insert(extra.next().expect("three sigs"));
+        let first = extra.next().expect("three sigs");
+        let new_id = back.insert(first);
         prop_assert!(back.remove(new_id));
-        back.insert(extra.next().expect("three sigs"));
+        let second = extra.next().expect("three sigs");
+        model.insert(back.insert(second.clone()), second);
         let q = extra.next().expect("three sigs");
         let fast = back.query(&q, 6, 0);
         let slow = back.scan(&q, 6);
-        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(&fast, &slow);
+        prop_assert_eq!(&fast, &reference_knn(&model, &q, 6));
     }
 
     #[test]

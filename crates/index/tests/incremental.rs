@@ -26,11 +26,7 @@ fn rebuild(g: &Graph, live: &[bool], k: usize) -> HashMap<u64, NodeSignature> {
 
 /// The index's current contents by id.
 fn index_contents(index: &SignatureIndex) -> HashMap<u64, NodeSignature> {
-    index
-        .forest()
-        .entries()
-        .map(|(id, sig)| (id, sig.clone()))
-        .collect()
+    index.entries().map(|(id, sig)| (id, sig.clone())).collect()
 }
 
 /// Drives `batches` of random deltas through a maintainer and checks the

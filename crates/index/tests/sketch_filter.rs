@@ -7,19 +7,47 @@
 //!    road grids) and every extraction depth `k ∈ 1..=5`. A violated
 //!    bound would mean silent false drops in exact mode.
 //! 2. **Bit-identical exact mode** — with [`SketchMode::Exact`] (the
-//!    default), `query`/`range` return exactly what the unfiltered
-//!    VP-forest path ([`SketchMode::Off`]) and the full scan return —
-//!    ids *and* distances — under arbitrary insert/remove churn and
+//!    default), `query`/`range` return exactly what the uncut path
+//!    ([`SketchMode::Off`]) and the full scan return — ids *and*
+//!    distance bits — under arbitrary insert/replace/remove churn and
 //!    across a save/load round trip of the sketch-carrying snapshot
-//!    format.
+//!    format. Since all three read the same bank rows, each is also
+//!    checked against a naive scan of an independent `BTreeMap` model of
+//!    the live set, so a lost or duplicated row cannot hide.
 
 use ned_core::NodeSignature;
 use ned_graph::{generators, Graph};
 use ned_index::sketch::Sketch;
-use ned_index::{SignatureIndex, SketchMode};
+use ned_index::{ForestHit, SignatureIndex, SketchMode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// Hits as `(id, distance bits)`: what "bit-identical" compares.
+fn bits(hits: &[ForestHit]) -> Vec<(u64, u64)> {
+    hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+}
+
+/// The naive oracle: NED from `q` to every model entry within `radius`,
+/// sorted by `(distance, id)` and cut to `top`.
+fn model_scan(
+    model: &BTreeMap<u64, NodeSignature>,
+    q: &NodeSignature,
+    top: usize,
+    radius: u64,
+) -> Vec<(u64, u64)> {
+    let mut hits: Vec<(u64, u64)> = model
+        .iter()
+        .map(|(&id, sig)| (q.distance(sig), id))
+        .filter(|&(d, _)| d <= radius)
+        .collect();
+    hits.sort_unstable();
+    hits.truncate(top);
+    hits.into_iter()
+        .map(|(d, id)| (id, (d as f64).to_bits()))
+        .collect()
+}
 
 /// One of the paper's three benchmark graph families, picked by `kind`.
 fn sample_graph(kind: u8, rng: &mut SmallRng) -> Graph {
@@ -69,11 +97,11 @@ proptest! {
         }
     }
 
-    /// Invariant 2: exact-mode results are bit-identical to the
-    /// unfiltered forest and the full scan, under churn and across a
-    /// save/load round trip.
+    /// Invariant 2: exact-mode results are bit-identical to the uncut
+    /// path, the full scan and a naive scan of an independent model of
+    /// the live set, under churn and across a save/load round trip.
     #[test]
-    fn exact_mode_is_bit_identical_to_the_forest(
+    fn exact_and_off_modes_match_a_model_scan(
         seed in any::<u64>(),
         threshold in 1..48usize,
         churn in 10..60usize,
@@ -82,28 +110,51 @@ proptest! {
         let g1 = generators::barabasi_albert(80, 2, &mut rng);
         let g2 = generators::road_network(7, 5, 0.4, 0.1, &mut rng);
         let mut index = SignatureIndex::new(3, threshold, seed);
-        index.insert_graph(&g1, &g1.nodes().collect::<Vec<_>>());
-        index.insert_graph(&g2, &g2.nodes().collect::<Vec<_>>());
+        let mut model: BTreeMap<u64, NodeSignature> = BTreeMap::new();
+        for g in [&g1, &g2] {
+            let ids = index.insert_graph(g, &g.nodes().collect::<Vec<_>>());
+            for (id, v) in ids.zip(g.nodes()) {
+                model.insert(id, NodeSignature::extract(g, v, 3));
+            }
+        }
         prop_assert_eq!(index.sketch_mode(), SketchMode::Exact);
 
-        // Interleaved removes and re-inserts so the bank tracks swaps,
-        // replacements, and tombstones — not just the bulk build.
+        // Interleaved removes, re-inserts and in-place replacements so
+        // the bank tracks swaps and overwrites — not just the bulk build.
         let pool: Vec<NodeSignature> = g1
             .nodes()
             .map(|v| NodeSignature::extract(&g1, v, 3))
             .collect();
         for _ in 0..churn {
-            if rng.gen_bool(0.5) {
-                index.remove(rng.gen_range(0..115u64));
-            } else {
-                index.insert(pool[rng.gen_range(0..pool.len())].clone());
+            let sig = pool[rng.gen_range(0..pool.len())].clone();
+            match rng.gen_range(0..3u32) {
+                0 => {
+                    let id = rng.gen_range(0..115u64);
+                    prop_assert_eq!(index.remove(id), model.remove(&id).is_some());
+                }
+                1 => {
+                    let id = index.insert(sig.clone());
+                    prop_assert!(model.insert(id, sig).is_none(), "id {} reused", id);
+                }
+                _ => {
+                    let id = rng.gen_range(0..index.next_id() + 5);
+                    prop_assert_eq!(index.insert_at(id, sig.clone()), !model.contains_key(&id));
+                    model.insert(id, sig);
+                }
             }
         }
+        prop_assert_eq!(index.len(), model.len());
+        let mut live: Vec<u64> = index.entries().map(|(id, _)| id).collect();
+        live.sort_unstable();
+        prop_assert_eq!(live, model.keys().copied().collect::<Vec<_>>());
 
         let mut off = index.clone();
         off.set_sketch_mode(SketchMode::Off);
         let reloaded = SignatureIndex::from_bytes(&index.to_bytes()).expect("round trip");
         prop_assert_eq!(reloaded.sketch_mode(), SketchMode::Exact);
+        let mut reloaded_off = reloaded.clone();
+        reloaded_off.set_sketch_mode(SketchMode::Off);
+        let served = [&index, &off, &reloaded, &reloaded_off];
 
         for probe in [0u32, 39, 79] {
             let q = NodeSignature::extract(&g1, probe, 3);
@@ -112,6 +163,11 @@ proptest! {
                 prop_assert_eq!(&sketched, &off.query(&q, k, 0), "knn k = {}", k);
                 prop_assert_eq!(&sketched, &off.scan(&q, k), "scan k = {}", k);
                 prop_assert_eq!(&sketched, &reloaded.query(&q, k, 0), "reload k = {}", k);
+                let want = model_scan(&model, &q, k, u64::MAX);
+                for (i, s) in served.iter().enumerate() {
+                    prop_assert_eq!(&bits(&s.query(&q, k, 0)), &want, "model knn k = {}, #{}", k, i);
+                    prop_assert_eq!(&bits(&s.scan(&q, k)), &want, "model scan k = {}, #{}", k, i);
+                }
             }
             for radius in [0u64, 3, 10] {
                 let sketched = index.range(&q, radius, 0);
@@ -125,6 +181,14 @@ proptest! {
                     &reloaded.range(&q, radius, 0),
                     "reload range r = {}", radius
                 );
+                let want = model_scan(&model, &q, usize::MAX, radius);
+                for (i, s) in served.iter().enumerate() {
+                    prop_assert_eq!(
+                        &bits(&s.range(&q, radius, 0)),
+                        &want,
+                        "model range r = {}, #{}", radius, i
+                    );
+                }
             }
         }
     }

@@ -1,11 +1,11 @@
-//! Indexing & persistence: build a dynamic sharded signature index over
-//! two graphs, query it, mutate it, snapshot it to disk, and reload it —
+//! Indexing & persistence: build a dynamic signature index over two
+//! graphs, query it, mutate it, snapshot it to disk, and reload it —
 //! the serving-layer workflow behind `ned-cli index ...` and
 //! `ned-cli serve`.
 //!
 //! Run with: `cargo run --release --example index_persistence`
 
-use ned::index::{SignatureIndex, SignatureMetric};
+use ned::index::{SignatureIndex, SketchMode};
 use ned::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -22,15 +22,11 @@ fn main() {
     let mut index = SignatureIndex::new(k, 256, 7);
     let social_ids = index.insert_graph(&social, &social.nodes().collect::<Vec<_>>());
     let road_ids = index.insert_graph(&road, &road.nodes().collect::<Vec<_>>());
-    let stats = index.stats();
     println!(
         "indexed {} signatures (social ids {social_ids:?}, road ids {road_ids:?})",
-        stats.len
+        index.len()
     );
-    println!(
-        "forest shape: buffer {}, shards {:?}, tombstones {}",
-        stats.buffer, stats.shard_sizes, stats.tombstones
-    );
+    println!("sketch bank: {}", index.sketch_stats());
 
     // --- query ------------------------------------------------------------
     // Which indexed neighborhoods look most like a road intersection?
@@ -83,10 +79,17 @@ fn main() {
         restored.k()
     );
 
-    // The underlying forest API is also usable directly, with any metric:
-    let forest = restored.forest();
-    let nearest = forest.knn(&SignatureMetric, &probe, 1, 0);
-    println!("nearest id via raw forest: {:?}", nearest[0]);
+    // Without the sketch cut every live signature is refined — the exact
+    // linear baseline, same answer. Hits resolve back to signatures by id.
+    let mut baseline = restored.clone();
+    baseline.set_sketch_mode(SketchMode::Off);
+    let nearest = baseline.query(&probe, 1, 0);
+    assert_eq!(nearest, restored.query(&probe, 1, 0));
+    let sig = restored.get(nearest[0].id).expect("hits are live");
+    println!(
+        "nearest without the sketch cut: {:?} (node {} of its graph)",
+        nearest[0], sig.node
+    );
 
     std::fs::remove_file(&path).ok();
 }
